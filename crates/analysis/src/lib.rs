@@ -6,8 +6,9 @@
 //!   all `N^{T_L}` frames, else-if semantics) and the **linear heuristic
 //!   counter** `COUNTH` (Algorithm 2);
 //! * [`rf`] — the **polynomial reads-from closure counter**: exact
-//!   per-outcome counts in `O(N log N)` per coordinate pair (`O(N^2 log N)`
-//!   for three coupled loads) by walking observed reads-from partners
+//!   per-outcome counts in `O(N log N)` per coordinate pair (plus one
+//!   Fenwick query per visited pair for three coupled loads, `O(N^2 log N)`
+//!   at worst) by walking observed reads-from partners
 //!   instead of enumerating frames, falling back to the exhaustive scan
 //!   outside its fragment;
 //! * [`skew`] — thread-skew measurement from loaded sequence values

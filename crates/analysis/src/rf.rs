@@ -40,18 +40,30 @@
 //! * **pair, two-key dominance** (eliminated existentials in both
 //!   orientations) — a value-indexed Fenwick dominance sweep,
 //!   `O(N log N)`;
-//! * **triple, identity-sided atoms** — an outer sweep over one
-//!   coordinate replaying the pair sweep, `O(N^2 log N)` versus the
-//!   exhaustive `N^3`.
+//! * **path** — three coordinates of which one pair shares no atom: both
+//!   legs are pair sweeps over the shared centre coordinate, reporting
+//!   partners per centre position, and the count is
+//!   `Σ_c N_u(c) · N_w(c)` — `O(N log N)`;
+//! * **cycle** — three coordinates, every pair coupled (the targets of
+//!   podwr001, safe007 and the generated `PodWR-Fre`/`PodRW-Rfe` cycle
+//!   families): one incremental sweep over `x` with a Fenwick tree over
+//!   the `z`s active at `x`, walking only the `y`s that some active `z`
+//!   could still close — `O(N log N)` plus `O(log N)` per visited
+//!   `(x, y)` pair. Machine-produced buffers make that a few pairs per
+//!   position (`podwr001`@10^5 in tens of milliseconds); the worst case,
+//!   every pair visited, is `O(N^2 log N)` versus the exhaustive `N^3`.
 //!
-//! Every *target* outcome of the 34 convertible tests falls in this
-//! fragment, and so do the full outcome sets of 29 of the 34 (asserted
-//! by `no_target_outcome_needs_the_fallback` and
-//! `full_outcome_sets_match_exhaustive_with_a_pinned_fallback_set` below,
-//! plus the workspace differential suite). The exceptions are
-//! multi-variable existential outcomes in the co-iriw, iriw, rfi015,
-//! safe012, and safe027 variety sets, whose two same-orientation
-//! data-data constraints form a 3-D dominance problem. Anything outside
+//! Every *target* outcome of the 34 convertible tests and of the generated
+//! corpus's three-load-thread tests falls in this fragment, and so do the
+//! full outcome sets of 29 of the 34 (asserted by
+//! `no_target_outcome_needs_the_fallback` and
+//! `every_outcome_counted_individually_matches_exhaustive` below, plus the
+//! workspace differential suite). The exceptions are multi-variable
+//! existential outcomes in the co-iriw, iriw, rfi015, safe012, and safe027
+//! variety sets, whose two same-orientation data-data constraints form a
+//! 3-D dominance problem, and two cycle outcomes of the generated
+//! `PodRW-Rfe-Fre-PodWR-Fre-Rfe` family, whose data-data pair meets a
+//! position bound from the third coordinate. Anything outside
 //! the fragment triggers a **fallback** to the exhaustive scan: the
 //! counts remain exact, the downgrade is recorded in
 //! [`CountResult::downgraded`] and the `count_rf_fallbacks` metric —
@@ -64,10 +76,15 @@
 //! not just in total — at every worker count. Three deliberate
 //! differences in the *policy* fields:
 //!
-//! * `frames_examined`/`evals` report the rf counter's own deterministic
-//!   work model (singleton `N`, pair `2N`, triple `N + N^2` per
-//!   component), not `N^{T_L}` — that asymmetry *is* the speedup the
-//!   benches measure, and it is independent of the worker count.
+//! * `frames_examined`/`evals` report the work the rf counter actually
+//!   did, one unit per position of each sweep plus one per `(x, y)` pair
+//!   a cycle sweep visits (singleton `N`, pair `2N`, path `4N`, cycle `N`
+//!   plus the visited pairs), not `N^{T_L}` — that asymmetry *is* the
+//!   speedup the benches measure. It is deterministic and independent of
+//!   the worker count: the polynomial path runs serially, and
+//!   `with_workers` only shards the fallback scan. The worst-case bound
+//!   per component is `N + N^2` (a cycle visiting every pair), which an
+//!   admission check can compute before counting.
 //! * `frame_cap` is ignored on the polynomial path: the cap exists as a
 //!   workaround for the `N^{T_L}` wall, and the rf counter answers the
 //!   *uncapped* question exactly. (The fallback path honours the cap,
@@ -96,9 +113,7 @@ use perple_convert::{fr_lower_bound, IdxRef, KMap, PerpCond, PerpetualOutcome};
 use perple_obs::metrics::{self as obs_metrics, Metric};
 use perple_sim::Budget;
 
-use crate::count::{
-    count_exhaustive_impl, exhaustive_sharded, partition, CountRequest, CountResult, Counter,
-};
+use crate::count::{count_exhaustive_impl, exhaustive_sharded, CountRequest, CountResult, Counter};
 
 /// Iterations admitted per watchdog poll while sizing the budgeted
 /// prefix; with a deterministic poll-limit [`Budget`] the admitted prefix
@@ -362,31 +377,35 @@ fn compile(o: &PerpetualOutcome, tl: usize) -> Plan {
     }
 }
 
+/// One Fenwick sweep over the positions of coordinate `s` counting the
+/// partners of each `s` position in coordinate `o`: atoms whose `o`-side
+/// feature is compared against the raw `s` position fold into an
+/// *activity interval* of `o` over the sweep, and every remaining atom
+/// reads the **same** `o`-side attribute (`key`: the raw position, or one
+/// data feature), bounded per `s` position by the atom's `s`-side value.
+#[derive(Debug, Clone)]
+struct Sweep {
+    s: usize,
+    o: usize,
+    /// `(is_lower, feat)`: `feat(o) <= s_pos` when lower, else
+    /// `s_pos <= feat(o)` — the activity window of `o`.
+    activity: Vec<(bool, Feat)>,
+    /// The shared `o`-side attribute the Fenwick indexes.
+    key: Feat,
+    /// `(is_lower, feat)`: `feat(s) <= key(o)` when lower, else
+    /// `key(o) <= feat(s)` — folded into a per-`s` query interval.
+    bounds: Vec<(bool, Feat)>,
+}
+
 /// A counting strategy for one connected component of coordinates.
 #[derive(Debug, Clone)]
 enum Strategy {
     /// An isolated coordinate: count its valid positions.
     Single { c: usize },
-    /// A coordinate pair counted by one Fenwick sweep over the positions
-    /// of coordinate `s`: atoms whose `o`-side feature is compared against
-    /// the raw `s` position fold into an *activity interval* of `o` over
-    /// the sweep, and every remaining atom reads the **same** `o`-side
-    /// attribute (`key`: the raw position, or one data feature), bounded
-    /// per `s` position by the atom's `s`-side value. Subsumes the
+    /// A coordinate pair counted by one [`Sweep`]. Subsumes the
     /// pure-identity-sided shape (key = position) and mixed
     /// identity/reads-from shapes (key = a decode or fr-bound feature).
-    PairSweep {
-        s: usize,
-        o: usize,
-        /// `(is_lower, feat)`: `feat(o) <= s_pos` when lower, else
-        /// `s_pos <= feat(o)` — the activity window of `o`.
-        activity: Vec<(bool, Feat)>,
-        /// The shared `o`-side attribute the Fenwick indexes.
-        key: Feat,
-        /// `(is_lower, feat)`: `feat(s) <= key(o)` when lower, else
-        /// `key(o) <= feat(s)` — folded into a per-`s` query interval.
-        bounds: Vec<(bool, Feat)>,
-    },
+    PairSweep(Sweep),
     /// A coordinate pair coupled only through eliminated existentials
     /// (no identity side, two distinct keys), at most one atom per
     /// orientation: value-Fenwick dominance sweep.
@@ -398,20 +417,26 @@ enum Strategy {
         /// `ly(y) <= hx(x)`, if present.
         ly_hx: Option<(Feat, Feat)>,
     },
-    /// Three coordinates, all atoms identity-sided: outer sweep over `x`
-    /// replaying the pair sweep on `(y, z)`.
-    Triple {
+    /// Three coordinates of which one pair shares no atom: two sweeps over
+    /// the same centre `s`, one per leg, whose per-position partner counts
+    /// multiply.
+    Path([Sweep; 2]),
+    /// Three coordinates, every pair coupled: identity-sided atoms join
+    /// `x` to `y` and `z`, and the `y`–`z` atoms only bound one key
+    /// attribute of `z` by features of `y` (a [`Sweep`] from `y` without
+    /// activity atoms). See [`count_cycle`].
+    Cycle {
         x: usize,
-        y: usize,
-        z: usize,
+        /// The `x`–`y` and `x`–`z` atoms.
         atoms: Vec<Atom>,
+        yz: Sweep,
     },
 }
 
-/// Tries to express a pair component's atoms as one [`Strategy::PairSweep`]
-/// with sweep coordinate `s`. Fails (`None`) when the non-activity atoms
-/// would need more than one `o`-side key attribute.
-fn classify_pair_sweep(atoms: &[Atom], s: usize, o: usize) -> Option<Strategy> {
+/// Tries to express a pair component's atoms as one [`Sweep`] with sweep
+/// coordinate `s`. Fails (`None`) when the non-activity atoms would need
+/// more than one `o`-side key attribute.
+fn classify_pair_sweep(atoms: &[Atom], s: usize, o: usize) -> Option<Sweep> {
     let mut activity = Vec::new();
     let mut key: Option<Feat> = None;
     let mut bounds = Vec::new();
@@ -434,7 +459,7 @@ fn classify_pair_sweep(atoms: &[Atom], s: usize, o: usize) -> Option<Strategy> {
             bounds.push((s_lower, sf));
         }
     }
-    Some(Strategy::PairSweep {
+    Some(Sweep {
         s,
         o,
         activity,
@@ -442,6 +467,51 @@ fn classify_pair_sweep(atoms: &[Atom], s: usize, o: usize) -> Option<Strategy> {
         // leaves the key free: position works (no bounds restrict it).
         key: key.unwrap_or(Feat::Identity),
         bounds,
+    })
+}
+
+/// Selects the strategy of a three-coordinate component. When one pair
+/// shares no atom it is a [`Strategy::Path`], provided both legs sweep
+/// over the centre. Otherwise it is the first [`Strategy::Cycle`]
+/// labelling that fits: `x`'s atoms identity-sided, the `y`–`z` atoms a
+/// [`Sweep`] from `y` without activity atoms, and a `z` key other than
+/// the position only when no feature of `x` bounds `z`'s position.
+/// Anything else is `None`.
+fn classify_triple(atoms: &[Atom], [a, b, c]: [usize; 3]) -> Option<Strategy> {
+    let between = |u: usize, v: usize| -> Vec<Atom> {
+        atoms
+            .iter()
+            .filter(|t| (t.ac == u && t.bc == v) || (t.ac == v && t.bc == u))
+            .copied()
+            .collect()
+    };
+    if let Some((centre, u, w)) = [(a, b, c), (b, a, c), (c, a, b)]
+        .into_iter()
+        .find(|&(_, u, w)| between(u, w).is_empty())
+    {
+        return Some(Strategy::Path([
+            classify_pair_sweep(&between(centre, u), centre, u)?,
+            classify_pair_sweep(&between(centre, w), centre, w)?,
+        ]));
+    }
+    [
+        (a, b, c),
+        (a, c, b),
+        (b, a, c),
+        (b, c, a),
+        (c, a, b),
+        (c, b, a),
+    ]
+    .into_iter()
+    .find_map(|(x, y, z)| {
+        let yz = classify_pair_sweep(&between(y, z), y, z)?;
+        let xz = between(x, z);
+        let x_bounds_z = xz.iter().any(|t| t.role().1 == x);
+        let atoms = [between(x, y), xz].concat();
+        (atoms.iter().all(Atom::identity_sided)
+            && yz.activity.is_empty()
+            && (yz.key == Feat::Identity || !x_bounds_z))
+            .then_some(Strategy::Cycle { x, atoms, yz })
     })
 }
 
@@ -482,7 +552,7 @@ fn strategies(plan: &Plan, tl: usize) -> Option<Vec<Strategy>> {
                 if let Some(s) =
                     classify_pair_sweep(&atoms, x, y).or_else(|| classify_pair_sweep(&atoms, y, x))
                 {
-                    out.push(s);
+                    out.push(Strategy::PairSweep(s));
                 } else if atoms.iter().any(Atom::identity_sided) {
                     // Two-key shapes mixing identity and data sides:
                     // outside the fragment.
@@ -499,9 +569,7 @@ fn strategies(plan: &Plan, tl: usize) -> Option<Vec<Strategy>> {
                     out.push(Strategy::PairDominance { x, y, lx_hy, ly_hx });
                 }
             }
-            [x, y, z] if atoms.iter().all(Atom::identity_sided) => {
-                out.push(Strategy::Triple { x, y, z, atoms });
-            }
+            [x, y, z] => out.push(classify_triple(&atoms, [x, y, z])?),
             _ => return None, // four or more coupled coordinates
         }
     }
@@ -569,29 +637,40 @@ impl Fenwick {
         debug_assert!(s >= 0, "negative interval count");
         s as u64
     }
-
-    fn clear(&mut self) {
-        self.tree.fill(0);
-    }
 }
 
-/// Counts valid `(s, o)` pairs with one Fenwick sweep over `s` positions:
-/// each `o` is inserted at its shared key attribute value while its
-/// activity window covers the sweep position, and each valid `s` position
-/// queries the interval its bound atoms impose on that key.
-#[allow(clippy::too_many_arguments)]
-fn count_pair_sweep(
-    activity: &[(bool, Feat)],
-    key: Feat,
+/// Folds `(is_lower, feat)` bounds evaluated at `pos` into the window
+/// `[lo, hi]`: a lower bound raises `lo`, an upper bound lowers `hi`.
+fn window(
     bounds: &[(bool, Feat)],
-    s: usize,
-    o: usize,
+    buf: &[u64],
+    pos: u64,
+    m: u64,
+    (lo, hi): (u64, u64),
+) -> (u64, u64) {
+    bounds.iter().fold((lo, hi), |(lo, hi), &(is_lower, f)| {
+        let v = f.eval(buf, pos, m);
+        if is_lower {
+            (lo.max(v), hi)
+        } else {
+            (lo, hi.min(v))
+        }
+    })
+}
+
+/// Runs one [`Sweep`]: each `o` is inserted at its key attribute value
+/// while its activity window covers the sweep position, and each valid `s`
+/// position queries the interval its bound atoms impose on that key.
+/// Calls `emit(s_pos, partners)` once per valid `s` position, in order.
+fn count_pair_sweep(
+    sw: &Sweep,
     bufs: &[&[u64]],
     valid_s: &[bool],
     valid_o: &[bool],
     m: u64,
-) -> u64 {
-    let (bs, bo) = (bufs[s], bufs[o]);
+    mut emit: impl FnMut(u64, u64),
+) {
+    let (bs, bo) = (bufs[sw.s], bufs[sw.o]);
     // Activity interval [c, d] over the sweep per o position, plus the
     // key value each active o contributes.
     let mut act: Vec<(u64, u64)> = Vec::new(); // (first active s, key(o))
@@ -600,17 +679,9 @@ fn count_pair_sweep(
         if !valid_o[ov as usize] {
             continue;
         }
-        let (mut c, mut d) = (0u64, m - 1);
-        for &(is_lower, f) in activity {
-            let v = f.eval(bo, ov, m);
-            if is_lower {
-                c = c.max(v); // feat(o) <= s_pos
-            } else {
-                d = d.min(v); // s_pos <= feat(o)
-            }
-        }
+        let (c, d) = window(&sw.activity, bo, ov, m, (0, m - 1));
         if c <= d {
-            let kv = key.eval(bo, ov, m);
+            let kv = sw.key.eval(bo, ov, m);
             act.push((c, kv));
             deact.push((d + 1, kv));
         }
@@ -621,7 +692,6 @@ fn count_pair_sweep(
     // Key values live in 0..=m (lower-bound features clamp to m).
     let mut fen = Fenwick::new(m as usize + 1);
     let (mut ai, mut di) = (0usize, 0usize);
-    let mut total = 0u64;
     for sv in 0..m {
         while ai < act.len() && act[ai].0 <= sv {
             fen.add(act[ai].1 as usize, 1);
@@ -631,21 +701,11 @@ fn count_pair_sweep(
             fen.add(deact[di].1 as usize, -1);
             di += 1;
         }
-        if !valid_s[sv as usize] {
-            continue;
+        if valid_s[sv as usize] {
+            let (lo, hi) = window(&sw.bounds, bs, sv, m, (0, m));
+            emit(sv, fen.range(lo, hi));
         }
-        let (mut lo, mut hi) = (0u64, m);
-        for &(is_lower, f) in bounds {
-            let v = f.eval(bs, sv, m);
-            if is_lower {
-                lo = lo.max(v); // feat(s) <= key(o)
-            } else {
-                hi = hi.min(v); // key(o) <= feat(s)
-            }
-        }
-        total += fen.range(lo, hi);
     }
-    total
 }
 
 /// Counts valid `(x, y)` pairs under value dominance: at most one
@@ -720,233 +780,196 @@ fn count_pair_dominance(
     }
 }
 
-/// Counts valid `(x, y, z)` triples for an all-identity-sided component
-/// over `x` positions `x0 .. x0 + xlen` (the shardable axis: each `x`
-/// pass is independent). Per `x`: intervals on `y` and `z` from atoms
-/// with features on `x`; then a `(y, z)` pair sweep with the
-/// `y`-activity/`z`-interval split of the yz atoms, gating `y`s and `z`s
-/// on their per-`x` activity windows.
-#[allow(clippy::too_many_arguments)]
-fn count_triple(
-    atoms: &[Atom],
+/// Counts valid `(x, y, z)` triples of a [`Strategy::Cycle`] in one sweep
+/// over `x`; returns the count and the number of `(x, y)` pairs visited.
+///
+/// Every `x` atom bounds one coordinate's position by a feature of the
+/// other, so each `y` and `z` has an `x`-window and each `x` a `y`-range
+/// and a `z`-range. A `z` sits in a Fenwick over its key (the `yz` sweep's
+/// key attribute) exactly while the sweep is inside its `x`-window. A `y`
+/// is *admitted* while the sweep is inside its own `x`-window and inside
+/// the hull of the `x`-windows of the `z`s its key range reaches: hulls
+/// over key prefixes and suffixes bound that hull from outside, so no `y`
+/// that could close a cycle is ever missed. Per valid `x`, the sweep walks
+/// the admitted `y`s in `x`'s `y`-range and adds the Fenwick count of `z`s
+/// in `y`'s key range cut by `x`'s `z`-range.
+///
+/// Real runs make the windows narrow bands around each position, so the
+/// walk visits a few `y`s per `x`; adversarial buffers can make it visit
+/// all `m^2` pairs, which is the `O(m^2 log m)` worst case.
+fn count_cycle(
     x: usize,
-    y: usize,
-    z: usize,
+    atoms: &[Atom],
+    yz: &Sweep,
     bufs: &[&[u64]],
-    valids: [&[bool]; 3],
+    [valid_x, valid_y, valid_z]: [&[bool]; 3],
     m: u64,
-    x0: u64,
-    xlen: u64,
-) -> u64 {
+) -> (u64, u64) {
+    let (y, z) = (yz.s, yz.o);
     let (bx, by, bz) = (bufs[x], bufs[y], bufs[z]);
-    let [valid_x, valid_y, valid_z] = valids;
-
-    // Partition atoms by coordinate pair and role (feature side).
-    let mut xy_x: Vec<(bool, Feat)> = Vec::new(); // feature on x, ident y
-    let mut xz_x: Vec<(bool, Feat)> = Vec::new(); // feature on x, ident z
-    let mut yz_y: Vec<(bool, Feat)> = Vec::new(); // feature on y, ident z
-
-    // Per-position activity intervals, filled below.
-    let mut cyx = vec![0u64; m as usize]; // y active for x >= cyx[y]
-    let mut dyx = vec![m - 1; m as usize]; // ... and x <= dyx[y]
-    let mut czx = vec![0u64; m as usize];
-    let mut dzx = vec![m - 1; m as usize];
-    let mut gy = vec![0u64; m as usize]; // z active for y >= gy[z]
-    let mut hy = vec![m - 1; m as usize]; // ... and y <= hy[z]
-
+    // Each atom's bound, by the coordinate its feature is on.
+    let (mut x_y, mut x_z, mut y_x, mut z_x) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for a in atoms {
         let (is_lower, fc, f) = a.role();
-        let ident = if a.bf == Feat::Identity { a.bc } else { a.ac };
-        if fc == x {
-            if ident == y {
-                xy_x.push((is_lower, f));
-            } else {
-                xz_x.push((is_lower, f));
-            }
-        } else if fc == y {
-            if ident == x {
-                for (yv, (c, d)) in cyx.iter_mut().zip(dyx.iter_mut()).enumerate() {
-                    let v = f.eval(by, yv as u64, m);
-                    if is_lower {
-                        *c = (*c).max(v);
-                    } else {
-                        *d = (*d).min(v);
-                    }
-                }
-            } else {
-                yz_y.push((is_lower, f));
-            }
-        } else if ident == x {
-            for (zv, (c, d)) in czx.iter_mut().zip(dzx.iter_mut()).enumerate() {
-                let v = f.eval(bz, zv as u64, m);
-                if is_lower {
-                    *c = (*c).max(v);
-                } else {
-                    *d = (*d).min(v);
-                }
-            }
+        let ident = if fc == a.ac { a.bc } else { a.ac };
+        let list = if fc == y {
+            &mut y_x
+        } else if fc == z {
+            &mut z_x
+        } else if ident == y {
+            &mut x_y
         } else {
-            for (zv, (g, h)) in gy.iter_mut().zip(hy.iter_mut()).enumerate() {
-                let v = f.eval(bz, zv as u64, m);
-                if is_lower {
-                    *g = (*g).max(v);
-                } else {
-                    *h = (*h).min(v);
-                }
-            }
-        }
+            &mut x_z
+        };
+        list.push((is_lower, f));
     }
+    let full = (0, m - 1);
+    let never = (u64::MAX, 0); // empty, and the identity of `hull`
+    let hull = |(a, b): (u64, u64), (c, d): (u64, u64)| (a.min(c), b.max(d));
+    let key = |zv: usize| yz.key.eval(bz, zv as u64, m) as usize;
 
-    // Per-y z interval from yz atoms with features on y.
-    let mut ez = vec![0u64; m as usize];
-    let mut fz = vec![m - 1; m as usize];
-    for yv in 0..m as usize {
-        for &(is_lower, f) in &yz_y {
-            let v = f.eval(by, yv as u64, m);
-            if is_lower {
-                ez[yv] = ez[yv].max(v);
-            } else {
-                fz[yv] = fz[yv].min(v);
-            }
-        }
-    }
-
-    // z event lists over y, restricted to globally plausible zs.
-    let mut zs_by_g: Vec<u64> = (0..m)
-        .filter(|&zv| valid_z[zv as usize] && gy[zv as usize] <= hy[zv as usize])
+    // Each z's x-window; invalid zs and empty windows never enter.
+    let zwin: Vec<(u64, u64)> = (0..m)
+        .map(|zv| match window(&z_x, bz, zv, m, full) {
+            (c, d) if c <= d && valid_z[zv as usize] => (c, d),
+            _ => never,
+        })
         .collect();
-    let mut zs_by_h = zs_by_g.clone();
-    zs_by_g.sort_unstable_by_key(|&zv| gy[zv as usize]);
-    zs_by_h.sort_unstable_by_key(|&zv| hy[zv as usize]);
+    // Each y's key range (keys live in 0..=m), and the x-window in which
+    // it can close a cycle: every key of e..=f lies in the prefix to f and
+    // in the suffix from e, so both hulls of z windows bound it. One hull
+    // array lives at a time.
+    let krange = |yv: u64| window(&yz.bounds, by, yv, m, (0, m));
+    let hulls = |suffix: bool| {
+        let mut h = vec![never; m as usize + 1];
+        for (zv, &w) in zwin.iter().enumerate() {
+            h[key(zv)] = hull(h[key(zv)], w);
+        }
+        for i in 1..=m as usize {
+            let (to, from) = if suffix {
+                (m as usize - i, m as usize - i + 1)
+            } else {
+                (i, i - 1)
+            };
+            h[to] = hull(h[to], h[from]);
+        }
+        h
+    };
+    let pre = hulls(false);
+    let mut ywin: Vec<(u64, u64)> = (0..m)
+        .map(|yv| match krange(yv) {
+            (e, f) if e <= f && valid_y[yv as usize] => window(&y_x, by, yv, m, pre[f as usize]),
+            _ => never,
+        })
+        .collect();
+    drop(pre);
+    let suf = hulls(true);
+    for (yv, w) in ywin.iter_mut().enumerate() {
+        if w.0 <= w.1 {
+            let (c, d) = suf[krange(yv as u64).0 as usize];
+            *w = (w.0.max(c), w.1.min(d));
+        }
+    }
+    drop(suf);
 
-    let mut fen = Fenwick::new(m as usize);
-    let mut added = vec![false; m as usize];
-    let mut total = 0u64;
-    for xv in x0..x0 + xlen {
+    // Enter/leave orders of the zs and ys with a non-empty window.
+    let by_edges = |win: &[(u64, u64)]| {
+        let mut enter: Vec<usize> = (0..win.len()).filter(|&i| win[i].0 <= win[i].1).collect();
+        let mut leave = enter.clone();
+        enter.sort_unstable_by_key(|&i| win[i].0);
+        leave.sort_unstable_by_key(|&i| win[i].1);
+        (enter, leave)
+    };
+    let (z_in, z_out) = by_edges(&zwin);
+    let (y_in, y_out) = by_edges(&ywin);
+
+    let mut fen = Fenwick::new(m as usize + 1);
+    let mut admitted = std::collections::BTreeSet::new();
+    let (mut zi, mut zo, mut yi, mut yo) = (0usize, 0usize, 0usize, 0usize);
+    let (mut total, mut visited) = (0u64, 0u64);
+    for xv in 0..m {
+        while zi < z_in.len() && zwin[z_in[zi]].0 <= xv {
+            fen.add(key(z_in[zi]), 1);
+            zi += 1;
+        }
+        while zo < z_out.len() && zwin[z_out[zo]].1 < xv {
+            fen.add(key(z_out[zo]), -1);
+            zo += 1;
+        }
+        while yi < y_in.len() && ywin[y_in[yi]].0 <= xv {
+            admitted.insert(y_in[yi]);
+            yi += 1;
+        }
+        while yo < y_out.len() && ywin[y_out[yo]].1 < xv {
+            admitted.remove(&y_out[yo]);
+            yo += 1;
+        }
         if !valid_x[xv as usize] {
             continue;
         }
-        // Per-x query windows on y and z.
-        let (mut ay, mut by_) = (0u64, m - 1);
-        for &(is_lower, f) in &xy_x {
-            let v = f.eval(bx, xv, m);
-            if is_lower {
-                ay = ay.max(v);
-            } else {
-                by_ = by_.min(v);
-            }
-        }
-        let (mut az, mut bz_) = (0u64, m - 1);
-        for &(is_lower, f) in &xz_x {
-            let v = f.eval(bx, xv, m);
-            if is_lower {
-                az = az.max(v);
-            } else {
-                bz_ = bz_.min(v);
-            }
-        }
-        if ay > by_ || az > bz_ {
+        let (ya, yb) = window(&x_y, bx, xv, m, full);
+        // Non-empty only when the key is the z position (classify_triple).
+        let (za, zb) = window(&x_z, bx, xv, m, (0, m));
+        if ya > yb || za > zb {
             continue;
         }
-        fen.clear();
-        added.fill(false);
-        let (mut gi, mut hi) = (0usize, 0usize);
-        for yv in 0..m {
-            while gi < zs_by_g.len() && gy[zs_by_g[gi] as usize] <= yv {
-                let zv = zs_by_g[gi] as usize;
-                gi += 1;
-                if czx[zv] <= xv && xv <= dzx[zv] {
-                    fen.add(zv, 1);
-                    added[zv] = true;
-                }
-            }
-            while hi < zs_by_h.len() && hy[zs_by_h[hi] as usize] < yv {
-                let zv = zs_by_h[hi] as usize;
-                hi += 1;
-                if added[zv] {
-                    fen.add(zv, -1);
-                    added[zv] = false;
-                }
-            }
-            if !valid_y[yv as usize]
-                || cyx[yv as usize] > xv
-                || xv > dyx[yv as usize]
-                || yv < ay
-                || yv > by_
-            {
-                continue;
-            }
-            let lo = az.max(ez[yv as usize]);
-            let hi_z = bz_.min(fz[yv as usize]);
-            total += fen.range(lo, hi_z);
+        for &yv in admitted.range(ya as usize..=yb as usize) {
+            let (e, f) = krange(yv as u64);
+            total += fen.range(e.max(za), f.min(zb));
+            visited += 1;
         }
     }
-    total
+    (total, visited)
 }
 
-/// One shard of rf counting work: a component of one outcome, restricted
-/// to an `x` range for the (shardable) triple strategy.
-struct Unit<'p> {
-    out: usize,
-    comp: usize,
-    plan: &'p Plan,
-    strat: &'p Strategy,
-    x0: u64,
-    xlen: u64,
-}
-
-fn run_unit(u: &Unit<'_>, bufs: &[&[u64]], m: u64) -> u64 {
-    match u.strat {
-        Strategy::Single { c } => coord_valid(&u.plan.unaries[*c], bufs[*c], m)
-            .iter()
-            .filter(|&&v| v)
-            .count() as u64,
-        Strategy::PairSweep {
-            s,
-            o,
-            activity,
-            key,
-            bounds,
-        } => {
-            let vs = coord_valid(&u.plan.unaries[*s], bufs[*s], m);
-            let vo = coord_valid(&u.plan.unaries[*o], bufs[*o], m);
-            count_pair_sweep(activity, *key, bounds, *s, *o, bufs, &vs, &vo, m)
+/// Counts one component; returns its count and the work it did (the rf
+/// analogue of "frames examined"): one unit per position of each sweep
+/// (singletons `m`, pairs one sweep per side, paths two pair sweeps) plus,
+/// for cycles, one per `(x, y)` pair visited. Deterministic, so
+/// worker-count independent.
+fn count_component(strat: &Strategy, plan: &Plan, bufs: &[&[u64]], m: u64) -> (u64, u64) {
+    let valid = |c: usize| coord_valid(&plan.unaries[c], bufs[c], m);
+    match strat {
+        Strategy::Single { c } => (valid(*c).iter().filter(|&&v| v).count() as u64, m),
+        Strategy::PairSweep(sw) => {
+            let mut total = 0u64;
+            count_pair_sweep(sw, bufs, &valid(sw.s), &valid(sw.o), m, |_, n| total += n);
+            (total, 2 * m)
         }
         Strategy::PairDominance { x, y, lx_hy, ly_hx } => {
-            let vx = coord_valid(&u.plan.unaries[*x], bufs[*x], m);
-            let vy = coord_valid(&u.plan.unaries[*y], bufs[*y], m);
-            count_pair_dominance(*lx_hy, *ly_hx, (bufs[*x], bufs[*y]), &vx, &vy, m)
+            let (vx, vy) = (valid(*x), valid(*y));
+            let n = count_pair_dominance(*lx_hy, *ly_hx, (bufs[*x], bufs[*y]), &vx, &vy, m);
+            (n, 2 * m)
         }
-        Strategy::Triple { x, y, z, atoms } => {
-            let vx = coord_valid(&u.plan.unaries[*x], bufs[*x], m);
-            let vy = coord_valid(&u.plan.unaries[*y], bufs[*y], m);
-            let vz = coord_valid(&u.plan.unaries[*z], bufs[*z], m);
-            count_triple(atoms, *x, *y, *z, bufs, [&vx, &vy, &vz], m, u.x0, u.xlen)
+        Strategy::Path([a, b]) => {
+            let vs = valid(a.s);
+            let mut partners = vec![0u64; m as usize];
+            count_pair_sweep(a, bufs, &vs, &valid(a.o), m, |sv, n| {
+                partners[sv as usize] = n
+            });
+            let mut total = 0u64;
+            count_pair_sweep(b, bufs, &vs, &valid(b.o), m, |sv, n| {
+                total = total.saturating_add(n.saturating_mul(partners[sv as usize]))
+            });
+            (total, 4 * m)
         }
-    }
-}
-
-/// Deterministic work model per component (the rf analogue of "frames
-/// examined"): one position sweep for singletons, one per side for pairs,
-/// and the outer sweep plus the `m`-wide inner sweep per outer position
-/// for triples. Worker-count independent by construction.
-fn component_cost(s: &Strategy, m: u64) -> u64 {
-    match s {
-        Strategy::Single { .. } => m,
-        Strategy::PairSweep { .. } | Strategy::PairDominance { .. } => m.saturating_mul(2),
-        Strategy::Triple { .. } => m.saturating_add(m.saturating_mul(m)),
+        Strategy::Cycle { x, atoms, yz } => {
+            let (vx, vy, vz) = (valid(*x), valid(yz.s), valid(yz.o));
+            let (n, visited) = count_cycle(*x, atoms, yz, bufs, [&vx, &vy, &vz], m);
+            (n, m.saturating_add(visited))
+        }
     }
 }
 
 /// Reads-from edges walked per component: each atom's feature array is
 /// scanned once per admitted iteration.
 fn component_edges(s: &Strategy, m: u64) -> u64 {
+    let sweep_atoms = |sw: &Sweep| sw.activity.len() + sw.bounds.len();
     let atoms = match s {
         Strategy::Single { .. } => 0,
-        Strategy::PairSweep {
-            activity, bounds, ..
-        } => activity.len() + bounds.len(),
-        Strategy::Triple { atoms, .. } => atoms.len(),
+        Strategy::PairSweep(sw) => sweep_atoms(sw),
+        Strategy::Path([a, b]) => sweep_atoms(a) + sweep_atoms(b),
+        Strategy::Cycle { atoms, yz, .. } => atoms.len() + sweep_atoms(yz),
         Strategy::PairDominance { lx_hy, ly_hx, .. } => {
             usize::from(lx_hy.is_some()) + usize::from(ly_hx.is_some())
         }
@@ -1044,83 +1067,24 @@ impl Counter for RfCounter<'_> {
             None => (req.n, false),
         };
 
+        // Components are independent by construction, so an outcome's
+        // count is the product of its components' counts.
         let mut counts = vec![0u64; self.outcomes.len()];
         let mut frames: u64 = 0;
         let mut edges: u64 = 0;
         if m > 0 {
-            let mut units: Vec<Unit<'_>> = Vec::new();
-            for (oi, (plan, strats)) in compiled.iter().enumerate() {
-                if plan.infeasible {
-                    continue;
-                }
-                for (ci, s) in strats.iter().enumerate() {
-                    frames = frames.saturating_add(component_cost(s, m));
-                    edges = edges.saturating_add(component_edges(s, m));
-                    let shards = match s {
-                        Strategy::Triple { .. } if req.workers > 1 => partition(m, req.workers),
-                        _ => vec![(0, m)],
-                    };
-                    for (x0, xlen) in shards {
-                        units.push(Unit {
-                            out: oi,
-                            comp: ci,
-                            plan,
-                            strat: s,
-                            x0,
-                            xlen,
-                        });
-                    }
-                }
-            }
-
-            let results: Vec<u64> = if req.workers <= 1 || units.len() <= 1 {
-                units.iter().map(|u| run_unit(u, req.bufs, m)).collect()
-            } else {
-                let chunks = partition(units.len() as u64, req.workers);
-                std::thread::scope(|scope| {
-                    let units = &units;
-                    let handles: Vec<_> = chunks
-                        .iter()
-                        .map(|&(s0, len)| {
-                            scope.spawn(move || {
-                                units[s0 as usize..(s0 + len) as usize]
-                                    .iter()
-                                    .map(|u| run_unit(u, req.bufs, m))
-                                    .collect::<Vec<u64>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        // Invariant assertion, not error handling: the
-                        // sweeps are pure reads over shared slices; a join
-                        // failure is a harness bug worth crashing on.
-                        .flat_map(|h| h.join().expect("rf counter worker panicked"))
-                        .collect()
-                })
-            };
-
-            // Sum shard results per component, multiply components per
-            // outcome (components are independent by construction). Both
-            // operations are exact sums/products of the same per-shard
-            // values in any worker count, so results are bit-identical
-            // regardless of sharding.
-            let mut comp_sums: Vec<Vec<u64>> = compiled
-                .iter()
-                .map(|(_, strats)| vec![0u64; strats.len()])
-                .collect();
-            for (u, r) in units.iter().zip(&results) {
-                comp_sums[u.out][u.comp] += r;
-            }
-            for (oi, (plan, strats)) in compiled.iter().enumerate() {
+            for (count, (plan, strats)) in counts.iter_mut().zip(&compiled) {
                 if plan.infeasible {
                     continue;
                 }
                 let mut t = 1u64;
-                for &s in &comp_sums[oi][..strats.len()] {
-                    t = t.saturating_mul(s);
+                for s in strats {
+                    let (n, work) = count_component(s, plan, req.bufs, m);
+                    t = t.saturating_mul(n);
+                    frames = frames.saturating_add(work);
+                    edges = edges.saturating_add(component_edges(s, m));
                 }
-                counts[oi] = t;
+                *count = t;
             }
         }
 
@@ -1319,6 +1283,58 @@ mod tests {
             rf.frames_examined,
             exh.frames_examined
         );
+        // One sweep over x plus the visited pairs, within the documented
+        // `m + m^2` bound.
+        assert!((n..=n + n * n).contains(&rf.frames_examined));
+    }
+
+    /// The shape of every outcome's plan among `outcomes`: one `"path"`,
+    /// `"cycle"` (position key) or `"keyed cycle"` component, `"split"`
+    /// into smaller components, or `"none"` (the fallback).
+    fn triple_kinds<'o>(
+        outcomes: impl IntoIterator<Item = &'o PerpetualOutcome>,
+    ) -> std::collections::BTreeSet<&'static str> {
+        outcomes
+            .into_iter()
+            .map(|o| {
+                let plan = compile(o, 3);
+                match strategies(&plan, 3).as_deref() {
+                    Some([Strategy::Path(_)]) => "path",
+                    Some([Strategy::Cycle { yz, .. }]) if yz.key == Feat::Identity => "cycle",
+                    Some([Strategy::Cycle { .. }]) => "keyed cycle",
+                    Some(_) => "split",
+                    None => "none",
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn three_coordinate_components_classify_as_paths_and_cycles() {
+        for name in ["podwr001", "safe007"] {
+            let conv = Conversion::convert(&suite::by_name(name).unwrap()).unwrap();
+            assert_eq!(
+                triple_kinds([&conv.target_exhaustive]),
+                ["cycle"].into(),
+                "{name}"
+            );
+        }
+        let generated: Vec<_> = perple_model::generate::generate_corpus(6, 4)
+            .into_iter()
+            .filter_map(|t| Conversion::convert(&t).ok().map(|c| (t, c)))
+            .filter(|(_, c)| c.perpetual.load_thread_count() == 3)
+            .collect();
+        let targets = triple_kinds(generated.iter().map(|(_, c)| &c.target_exhaustive));
+        assert_eq!(targets, ["cycle", "path"].into());
+        let all: Vec<PerpetualOutcome> = generated
+            .iter()
+            .flat_map(|(t, c)| c.all_outcomes(t).unwrap())
+            .map(|(o, _)| o)
+            .collect();
+        assert_eq!(
+            triple_kinds(&all),
+            ["cycle", "keyed cycle", "none", "path", "split"].into()
+        );
     }
 
     #[test]
@@ -1391,6 +1407,91 @@ mod tests {
         assert_eq!(delta.get("count_rf_fallbacks"), 0);
     }
 
+    /// Every shape three coordinates can take from the atom kinds below,
+    /// counted through `strategies` + `count_component` and checked
+    /// against a direct triple loop over the atoms themselves. The corpus
+    /// only produces directed cycles; this also reaches the orientations
+    /// where `y` bounds `x`, two-sided windows and data-data pairs.
+    #[test]
+    fn every_three_coordinate_shape_matches_a_direct_frame_loop() {
+        let lo = Feat::FrLb {
+            k: 1,
+            a: 0,
+            rpi: 1,
+            slot: 0,
+        };
+        let hi = Feat::Dec {
+            k: 1,
+            a: 0,
+            rpi: 1,
+            slot: 0,
+        };
+        let id = Feat::Identity;
+        let atom = |ac, af, bc, bf| Atom { ac, af, bc, bf };
+        // The atom sets one pair (u, v) can carry.
+        let options = |u: usize, v: usize| -> Vec<Vec<Atom>> {
+            vec![
+                vec![],
+                vec![atom(u, lo, v, id)],
+                vec![atom(v, id, u, hi)],
+                vec![atom(v, lo, u, id)],
+                vec![atom(u, id, v, hi)],
+                vec![atom(u, lo, v, id), atom(v, id, u, hi)],
+                vec![atom(u, lo, v, hi)],
+                vec![atom(v, lo, u, hi)],
+            ]
+        };
+        let m = 10u64;
+        let banded: Vec<Vec<u64>> = (0..3u64)
+            .map(|c| {
+                (0..m)
+                    .map(|i| (i + (i * 7 + c * 3) % 5).saturating_sub(2))
+                    .collect()
+            })
+            .collect();
+        let garbage: Vec<Vec<u64>> = (0..3u64)
+            .map(|c| (0..m).map(|i| (i * 13 + c * 5 + i * i) % (m + 3)).collect())
+            .collect();
+        let (mut counted, mut single_sided) = (0, 0);
+        for (i, a01) in options(0, 1).into_iter().enumerate() {
+            for (j, a02) in options(0, 2).into_iter().enumerate() {
+                for (k, a12) in options(1, 2).into_iter().enumerate() {
+                    let plan = Plan {
+                        infeasible: false,
+                        unaries: vec![Vec::new(); 3],
+                        atoms: [a01.clone(), a02.clone(), a12].concat(),
+                    };
+                    let Some(strats) = strategies(&plan, 3) else {
+                        assert!(
+                            [i, j, k].iter().any(|&o| o == 0 || o > 5),
+                            "shape {i}{j}{k} fell out of the fragment"
+                        );
+                        continue;
+                    };
+                    counted += 1;
+                    single_sided += usize::from([i, j, k].iter().all(|&o| (1..=5).contains(&o)));
+                    for owned in [&banded, &garbage] {
+                        let bufs: Vec<&[u64]> = owned.iter().map(Vec::as_slice).collect();
+                        let fast: u64 = strats
+                            .iter()
+                            .map(|s| count_component(s, &plan, &bufs, m).0)
+                            .product();
+                        let mut slow = 0u64;
+                        for f in (0..m * m * m).map(|n| [n % m, n / m % m, n / (m * m)]) {
+                            slow += u64::from(plan.atoms.iter().all(|a| {
+                                a.af.eval(bufs[a.ac], f[a.ac], m)
+                                    <= a.bf.eval(bufs[a.bc], f[a.bc], m)
+                            }));
+                        }
+                        assert_eq!(fast, slow, "shape {i}{j}{k}");
+                    }
+                }
+            }
+        }
+        assert_eq!(single_sided, 125, "every single-sided shape is counted");
+        assert!(counted > 300, "{counted} shapes counted");
+    }
+
     #[test]
     fn the_fenwick_tree_counts_interval_sums() {
         let mut f = Fenwick::new(8);
@@ -1403,7 +1504,5 @@ mod tests {
         assert_eq!(f.range(5, 2), 0, "empty interval");
         f.add(3, -2);
         assert_eq!(f.range(0, 7), 2);
-        f.clear();
-        assert_eq!(f.range(0, 7), 0);
     }
 }

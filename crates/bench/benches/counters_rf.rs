@@ -4,9 +4,13 @@
 //! speedup produced by a wrong count aborts the bench.
 //!
 //! The headline case is a `T_L = 3` test (`podwr001`): the exhaustive
-//! counter examines `N^3` frames while the rf counter does `~2N + N^2`
-//! work, so the frames-examined reduction printed at the end grows
-//! linearly in `N` (≥10× already at `N = 100`; see `EXPERIMENTS.md`).
+//! counter examines `N^3` frames while the rf counter's cycle sweep does
+//! `N` work plus one unit per `(x, y)` pair it visits — a few per
+//! position on machine-produced buffers, `N^2` at worst — so the
+//! frames-examined reduction printed at the end grows roughly
+//! quadratically in `N` (see `EXPERIMENTS.md`). The rf-only cases at
+//! `N = 10^4` and `10^5` are the sizes the exhaustive scan cannot reach;
+//! equality against it is asserted up to `N = 400`.
 
 use perple::{
     Conversion, CountRequest, Counter, ExhaustiveCounter, PerpleRunner, RfCounter, SimConfig,
@@ -19,8 +23,9 @@ fn main() {
     let mut runner = PerpleRunner::new(SimConfig::default().with_seed(0xF5));
 
     // Differential warm-up across shapes: pair sweep (sb, mp), mixed
-    // identity/data pair (wrc), and the triple (podwr001).
-    for name in ["sb", "mp", "wrc", "podwr001"] {
+    // identity/data pair (wrc), and the three-load cycles (podwr001,
+    // safe007).
+    for name in ["sb", "mp", "wrc", "podwr001", "safe007"] {
         let test = suite::by_name(name).expect("suite test");
         let conv = Conversion::convert(&test).expect("convertible");
         let n = 100u64;
@@ -43,7 +48,7 @@ fn main() {
     // The asymptotic case: N^3 exhaustive frames vs polynomial rf work.
     let test = suite::podwr001();
     let conv = Conversion::convert(&test).expect("podwr001 converts");
-    for &n in &[100u64, 400, 2_000] {
+    for &n in &[100u64, 400, 2_000, 10_000, 100_000] {
         let run = runner.run(&conv.perpetual, n);
         let bufs = run.bufs();
         let req = CountRequest::new(&bufs, n);
@@ -66,7 +71,8 @@ fn main() {
         }
         let cubic = n * n * n;
         println!(
-            "counters_rf/podwr001/{n}: {} rf frames vs {} exhaustive ({:.0}x reduction)",
+            "counters_rf/podwr001/{n}: count {}, {} rf frames vs {} exhaustive ({:.0}x reduction)",
+            rf.counts[0],
             rf.frames_examined,
             cubic,
             cubic as f64 / rf.frames_examined as f64,

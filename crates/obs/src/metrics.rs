@@ -7,7 +7,9 @@
 //! [`snapshot`] merges all shards by elementwise addition — the merge is
 //! associative and commutative, so the result is independent of how
 //! events were distributed across threads (property-tested in the
-//! workspace test suite).
+//! workspace test suite). When a thread exits, its shard folds into one
+//! shared *retired* shard and leaves the registry, so the registry's size
+//! follows the live threads, not every thread the process ever ran.
 //!
 //! Counters are a closed set ([`Metric`]) and histograms use fixed
 //! power-of-two buckets ([`bucket_of`]), so shards are fixed-size arrays:
@@ -252,20 +254,54 @@ impl Shard {
             hists: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
         }
     }
+
+    /// Every cell, counters first, in declaration order.
+    fn cells(&self) -> impl Iterator<Item = &AtomicU64> {
+        self.counters.iter().chain(self.hists.iter().flatten())
+    }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<Shard>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// The shards of the live threads, plus the merged counts of every
+/// thread that has exited.
+struct Registry {
+    live: Vec<Arc<Shard>>,
+    retired: Shard,
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        Mutex::new(Registry {
+            live: Vec::new(),
+            retired: Shard::new(),
+        })
+    })
+}
+
+/// A thread's registered shard. When the thread exits, its counts fold
+/// into the retired shard and it leaves the live list, under the same
+/// lock [`snapshot`] takes, so totals never change and a process that
+/// spawns many short-lived threads keeps a bounded registry.
+struct LocalShard(Arc<Shard>);
+
+impl Drop for LocalShard {
+    fn drop(&mut self) {
+        if let Ok(mut reg) = registry().lock() {
+            for (dst, src) in reg.retired.cells().zip(self.0.cells()) {
+                dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            reg.live.retain(|s| !Arc::ptr_eq(s, &self.0));
+        }
+    }
 }
 
 thread_local! {
-    static LOCAL: Arc<Shard> = {
+    static LOCAL: LocalShard = {
         let shard = Arc::new(Shard::new());
-        if let Ok(mut shards) = registry().lock() {
-            shards.push(Arc::clone(&shard));
+        if let Ok(mut reg) = registry().lock() {
+            reg.live.push(Arc::clone(&shard));
         }
-        shard
+        LocalShard(shard)
     };
 }
 
@@ -291,7 +327,7 @@ pub fn add(metric: Metric, delta: u64) {
     // `try_with` so late events during thread teardown degrade to no-ops
     // instead of panicking in a destructor.
     let _ = LOCAL.try_with(|shard| {
-        shard.counters[metric.index()].fetch_add(delta, Ordering::Relaxed);
+        shard.0.counters[metric.index()].fetch_add(delta, Ordering::Relaxed);
     });
 }
 
@@ -301,7 +337,7 @@ pub fn observe(hist: Hist, value: u64) {
         return;
     }
     let _ = LOCAL.try_with(|shard| {
-        shard.hists[hist.index()][bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        shard.0.hists[hist.index()][bucket_of(value)].fetch_add(1, Ordering::Relaxed);
     });
 }
 
@@ -467,11 +503,11 @@ pub fn snapshot() -> MetricsSnapshot {
     if cfg!(feature = "off") {
         return snap;
     }
-    let shards = match registry().lock() {
-        Ok(s) => s,
+    let reg = match registry().lock() {
+        Ok(r) => r,
         Err(_) => return snap,
     };
-    for shard in shards.iter() {
+    for shard in std::iter::once(&reg.retired).chain(reg.live.iter().map(|s| &**s)) {
         for (slot, cell) in snap.counters.iter_mut().zip(shard.counters.iter()) {
             slot.1 += cell.load(Ordering::Relaxed);
         }
@@ -549,6 +585,24 @@ mod tests {
         // Other tests in this binary may add concurrently, so assert >=.
         assert!(delta.get("count_partner_hits") >= 7);
         assert_eq!(delta.get("no_such_metric"), 0);
+    }
+
+    #[test]
+    fn exited_threads_keep_their_counts_but_leave_the_registry() {
+        let _g = gate();
+        let live = || registry().lock().map(|r| r.live.len()).unwrap_or(0);
+        let (before, live_before) = (snapshot(), live());
+        for _ in 0..16 {
+            std::thread::spawn(|| {
+                add(Metric::CountPartnerMisses, 2);
+                observe(Hist::SimRunCycles, 3);
+            })
+            .join()
+            .unwrap();
+        }
+        let delta = snapshot().delta_from(&before);
+        assert!(delta.get("count_partner_misses") >= 32);
+        assert!(live() <= live_before, "exited threads stay registered");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 
 use perple::{
     Budget, Conversion, CountRequest, CountResult, Counter, ExhaustiveCounter, FaultPlan,
-    HeuristicCounter, PerpleRunner, RfCounter, SimConfig,
+    HeuristicCounter, LitmusTest, PerpleRunner, RfCounter, SimConfig,
 };
+use perple_model::generate::generate_corpus;
 use perple_model::suite;
 use perple_repro::prop::run_cases;
 
@@ -22,6 +23,49 @@ const WORKERS: [usize; 4] = [1, 2, 3, 7];
 /// outcomes outside the rf fragment (3-D dominance); their *targets* are
 /// still polynomial, and the recorded fallback keeps the counts exact.
 const FALLBACK_TESTS: [&str; 5] = ["co-iriw", "iriw", "rfi015", "safe012", "safe027"];
+
+/// The outcomes of the generated three-load-thread tests that lie outside
+/// the rf fragment: a cycle whose `y`–`z` pair is a data-data constraint
+/// while `x` bounds `z`'s position. The base test and each of its fence
+/// variants (`-f<edge>`, `-fall`) share them; every target is in the
+/// fragment.
+const GENERATED_TL3_FALLBACKS: (&str, [&str; 2]) =
+    ("dyn-PodRW-Rfe-Fre-PodWR-Fre-Rfe", ["001", "100"]);
+
+/// The `T_L = 3` convertible tests of the generated corpus, converted.
+fn generated_three_load_tests() -> Vec<(LitmusTest, Conversion)> {
+    generate_corpus(6, 4)
+        .into_iter()
+        .filter(perple_convert::is_convertible)
+        .map(|t| {
+            let conv = Conversion::convert(&t).expect("convertible");
+            (t, conv)
+        })
+        .filter(|(_, conv)| conv.perpetual.load_thread_count() == 3)
+        .collect()
+}
+
+/// Deterministic garbage with the run layout (`rpi * n` values per load
+/// thread): decode successes and failures, stale and fresh fr thresholds.
+fn garbage_bufs(conv: &Conversion, n: u64, salt: u64) -> Vec<Vec<u64>> {
+    let perp = &conv.perpetual;
+    perp.load_threads()
+        .iter()
+        .enumerate()
+        .map(|(pos, t)| {
+            let rpi = perp.reads_per_thread()[t.index()] as u64;
+            (0..n * rpi)
+                .map(|i| {
+                    let mut h = (i ^ salt.rotate_left(pos as u32 * 8))
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(pos as u64);
+                    h ^= h >> 29;
+                    h % (3 * n + 7)
+                })
+                .collect()
+        })
+        .collect()
+}
 
 /// Counts with both exact backends and asserts bit-equality of every
 /// semantic field (work-model fields — frames, evals, wall — may differ).
@@ -84,6 +128,75 @@ fn every_corpus_outcome_counts_identically_fallback_pinned() {
     }
     fell_back.sort_unstable();
     assert_eq!(fell_back, FALLBACK_TESTS, "the rf fragment moved");
+}
+
+#[test]
+fn every_generated_three_load_outcome_counts_identically_fallback_pinned() {
+    // Every path and cycle orientation the generated corpus produces,
+    // counted outcome by outcome on machine buffers and on garbage: the
+    // suite alone only reaches the podwr001/safe007 cycle shapes.
+    let tests = generated_three_load_tests();
+    assert!(tests.len() >= 20, "{} generated T_L = 3 tests", tests.len());
+    let n = 14u64;
+    let (base, labels) = GENERATED_TL3_FALLBACKS;
+    let mut expected = Vec::new();
+    let mut fell_back = Vec::new();
+    for (test, conv) in &tests {
+        let name = test.name();
+        if name == base || name.starts_with(&format!("{base}-f")) {
+            expected.extend(labels.iter().map(|l| format!("{name}/{l}")));
+        }
+        let all = conv.all_outcomes(test).expect("outcomes");
+        let mut runner = PerpleRunner::new(SimConfig::default().with_seed(0x7E3));
+        let run = runner.run(&conv.perpetual, n);
+        let garbage: Vec<Vec<Vec<u64>>> = (0..3).map(|salt| garbage_bufs(conv, n, salt)).collect();
+        let mut sources: Vec<(String, Vec<&[u64]>)> = vec![("sim".to_owned(), run.bufs())];
+        for (salt, bufs) in garbage.iter().enumerate() {
+            sources.push((
+                format!("garbage{salt}"),
+                bufs.iter().map(Vec::as_slice).collect(),
+            ));
+        }
+        for (o, _) in &all {
+            let mut downgraded = Vec::new();
+            for (source, bufs) in &sources {
+                let ctx = format!("{name}/{} on {source}", o.label());
+                let (rf, _) = assert_rf_equals_exhaustive(o, bufs, n, &ctx);
+                downgraded.push(rf.downgraded);
+            }
+            // The fragment is a property of the outcome, not the buffers.
+            assert!(downgraded.iter().all(|&d| d == downgraded[0]), "{name}");
+            if downgraded[0] {
+                fell_back.push(format!("{name}/{}", o.label()));
+            }
+        }
+        let (target, _) =
+            assert_rf_equals_exhaustive(&conv.target_exhaustive, &sources[0].1, n, name);
+        assert!(!target.downgraded, "{name}: target fell back");
+    }
+    fell_back.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(fell_back, expected, "the rf fragment moved");
+}
+
+#[test]
+fn three_load_cycle_work_is_far_below_its_quadratic_bound() {
+    // The cycle sweep reports the (x, y) pairs it visits, not the
+    // `m + m^2` bound: on machine buffers that is a few per position.
+    let test = suite::podwr001();
+    let conv = Conversion::convert(&test).expect("converts");
+    let n = 2_000u64;
+    let mut runner = PerpleRunner::new(SimConfig::default().with_seed(0xC7C));
+    let run = runner.run(&conv.perpetual, n);
+    let bufs = run.bufs();
+    let rf = RfCounter::single(&conv.target_exhaustive).count(&CountRequest::new(&bufs, n));
+    assert!(!rf.downgraded);
+    assert!(rf.frames_examined >= n, "at least one sweep over x");
+    assert!(
+        rf.frames_examined <= n * n / 20,
+        "{} work units at N = {n}",
+        rf.frames_examined
+    );
 }
 
 #[test]
