@@ -23,7 +23,7 @@
 
 use std::time::{Duration, Instant};
 
-use perple_convert::{HeuristicOutcome, PerpetualOutcome};
+use perple_convert::{HeuristicOutcome, HeuristicScratch, PerpetualOutcome};
 use perple_obs::metrics::{self as obs_metrics, Hist, Metric};
 use perple_obs::trace as obs_trace;
 use perple_sim::Budget;
@@ -369,6 +369,7 @@ fn count_heuristic_impl(
     let mut evals: u64 = 0;
     let mut pivots: u64 = 0;
     let mut budget_expired = false;
+    let mut scratch = HeuristicScratch::default();
     for i in 0..n {
         if let Some(b) = budget {
             if b.expired() {
@@ -379,7 +380,7 @@ fn count_heuristic_impl(
         pivots += 1;
         for (o, h) in outcomes.iter().enumerate() {
             evals += 1;
-            if h.eval(i, bufs, n) {
+            if h.eval(i, bufs, n, &mut scratch) {
                 counts[o] += 1;
                 break;
             }
@@ -647,11 +648,12 @@ fn scan_pivot_range(
 ) -> (Vec<u64>, u64) {
     let mut counts = vec![0u64; outcomes.len()];
     let mut evals: u64 = 0;
+    let mut scratch = HeuristicScratch::default();
     if chained {
         for i in start..start + len {
             for (o, h) in outcomes.iter().enumerate() {
                 evals += 1;
-                if h.eval(i, bufs, n) {
+                if h.eval(i, bufs, n, &mut scratch) {
                     counts[o] += 1;
                     break;
                 }
@@ -661,7 +663,7 @@ fn scan_pivot_range(
         for (o, h) in outcomes.iter().enumerate() {
             for i in start..start + len {
                 evals += 1;
-                if h.eval(i, bufs, n) {
+                if h.eval(i, bufs, n, &mut scratch) {
                     counts[o] += 1;
                 }
             }
@@ -1115,9 +1117,10 @@ mod tests {
         assert_eq!(part.frames_examined, 20, "one poll per pivot");
         // Prefix property: recount the scanned prefix serially.
         let mut prefix = vec![0u64; heu.len()];
+        let mut scratch = HeuristicScratch::default();
         for i in 0..20 {
             for (o, h) in heu.iter().enumerate() {
-                if h.eval(i, &bufs, n) {
+                if h.eval(i, &bufs, n, &mut scratch) {
                     prefix[o] += 1;
                     break;
                 }

@@ -20,6 +20,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use perple_analysis::jsonout::{self, Json};
 
@@ -552,15 +553,25 @@ impl RunStore {
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
 /// outside a git checkout — recorded in every run manifest so stored
 /// results can be traced back to the code that produced them.
+///
+/// Runs `git` once per process and memoises the answer: the running
+/// binary cannot change while it runs, so the first answer is the
+/// accurate one for every later manifest (warm re-runs and server
+/// submissions would otherwise each pay a child process).
 pub fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+    static DESCRIBE: OnceLock<String> = OnceLock::new();
+    DESCRIBE
+        .get_or_init(|| {
+            std::process::Command::new("git")
+                .args(["describe", "--always", "--dirty", "--tags"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_owned())
+        })
+        .clone()
 }
 
 #[cfg(test)]
@@ -728,6 +739,7 @@ mod tests {
     fn git_describe_never_panics() {
         let d = git_describe();
         assert!(!d.is_empty());
+        assert_eq!(git_describe(), d, "memoised: one answer per process");
     }
 
     #[test]

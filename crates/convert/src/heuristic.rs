@@ -55,6 +55,17 @@ pub struct Derivation {
     pub rule: DeriveRule,
 }
 
+/// Working storage of [`HeuristicOutcome::eval`]: the frame and
+/// existential indices one pivot resolves. A counter creates one per
+/// counting call (per shard when sharded) and reuses it for every pivot
+/// and outcome, so evaluation allocates nothing per pivot: the vectors
+/// only grow, once, to the largest outcome's sizes.
+#[derive(Debug, Clone, Default)]
+pub struct HeuristicScratch {
+    frame: Vec<u64>,
+    exist: Vec<u64>,
+}
+
 /// The heuristic form of a perpetual outcome (`p_out_h`), evaluable per
 /// pivot iteration in constant time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -249,13 +260,23 @@ impl HeuristicOutcome {
 
     /// Evaluates the heuristic condition at pivot iteration `n`
     /// (`p_out_h(n, buf_0, ..)` of the paper). `bufs` are the
-    /// load-performing threads' buffers in frame order.
-    pub fn eval(&self, n: u64, bufs: &[&[u64]], n_iters: u64) -> bool {
+    /// load-performing threads' buffers in frame order; `scratch` is reused
+    /// working storage (see [`HeuristicScratch`]).
+    pub fn eval(
+        &self,
+        n: u64,
+        bufs: &[&[u64]],
+        n_iters: u64,
+        scratch: &mut HeuristicScratch,
+    ) -> bool {
         if n_iters == 0 || self.infeasible {
             return false;
         }
-        let mut frame = vec![u64::MAX; self.frame_len];
-        let mut exist = vec![u64::MAX; self.exist_len];
+        let HeuristicScratch { frame, exist } = scratch;
+        frame.clear();
+        frame.resize(self.frame_len, u64::MAX);
+        exist.clear();
+        exist.resize(self.exist_len, u64::MAX);
         frame[self.pivot] = n;
         for d in &self.plan {
             let value = |load: &LoadRef, frame: &[u64]| -> Option<u64> {
@@ -267,7 +288,7 @@ impl HeuristicOutcome {
             };
             let derived = match d.rule {
                 DeriveRule::FromRf { load, k, a } => {
-                    let Some(val) = value(&load, &frame) else {
+                    let Some(val) = value(&load, frame) else {
                         return false;
                     };
                     match KMap::decode(k, a, val) {
@@ -276,7 +297,7 @@ impl HeuristicOutcome {
                     }
                 }
                 DeriveRule::FromFr { load, k, a } => {
-                    let Some(val) = value(&load, &frame) else {
+                    let Some(val) = value(&load, frame) else {
                         return false;
                     };
                     fr_lower_bound(k, a, val)
@@ -358,18 +379,18 @@ mod tests {
         let b0: Vec<u64> = vec![0, 0, 1];
         let b1: Vec<u64> = vec![0, 2, 9];
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        assert!(hs[0].eval(2, &bufs, 3));
+        assert!(hs[0].eval(2, &bufs, 3, &mut HeuristicScratch::default()));
         // At n=1: buf0[1]=0 → m := 0; buf1[0]=0 <= 1 → true.
-        assert!(hs[0].eval(1, &bufs, 3));
+        assert!(hs[0].eval(1, &bufs, 3, &mut HeuristicScratch::default()));
 
         // p_out_h3: buf1[buf0[n]-1] >= n+1.
         // buf0[2]=1 → rf decode m = 0; buf1[0] = 0 >= 3? no.
-        assert!(!hs[3].eval(2, &bufs, 3));
+        assert!(!hs[3].eval(2, &bufs, 3, &mut HeuristicScratch::default()));
         let c0: Vec<u64> = vec![1, 0, 0];
         let c1: Vec<u64> = vec![1, 0, 0];
         let cufs: Vec<&[u64]> = vec![&c0, &c1];
         // n=0: buf0[0]=1 → m=0; buf1[0]=1 >= 1 → true (outcome 11).
-        assert!(hs[3].eval(0, &cufs, 3));
+        assert!(hs[3].eval(0, &cufs, 3, &mut HeuristicScratch::default()));
     }
 
     #[test]
@@ -388,7 +409,7 @@ mod tests {
         for o in &outcomes {
             let h = HeuristicOutcome::from_perpetual(o, 2);
             for i in 0..n {
-                if h.eval(i, &bufs, n) {
+                if h.eval(i, &bufs, n, &mut HeuristicScratch::default()) {
                     // Reconstruct the derived frame: pivot i, partner from
                     // the plan.
                     let d = h.plan()[0];
@@ -424,11 +445,11 @@ mod tests {
         // mp violation shape → true.
         let b: Vec<u64> = vec![5, 3];
         let bufs: Vec<&[u64]> = vec![&b];
-        assert!(h.eval(0, &bufs, 10));
+        assert!(h.eval(0, &bufs, 10, &mut HeuristicScratch::default()));
         // x-read equal to y-iteration value: no violation.
         let b2: Vec<u64> = vec![5, 5];
         let bufs2: Vec<&[u64]> = vec![&b2];
-        assert!(!h.eval(0, &bufs2, 10));
+        assert!(!h.eval(0, &bufs2, 10, &mut HeuristicScratch::default()));
     }
 
     #[test]
@@ -438,7 +459,7 @@ mod tests {
         let b0: Vec<u64> = vec![40, 0, 0];
         let b1: Vec<u64> = vec![0, 0, 0];
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        assert!(!hs[0].eval(0, &bufs, 3));
+        assert!(!hs[0].eval(0, &bufs, 3, &mut HeuristicScratch::default()));
     }
 
     #[test]
@@ -465,6 +486,6 @@ mod tests {
         let hs = sb_heuristics();
         let empty: Vec<u64> = vec![];
         let bufs: Vec<&[u64]> = vec![&empty, &empty];
-        assert!(!hs[0].eval(0, &bufs, 0));
+        assert!(!hs[0].eval(0, &bufs, 0, &mut HeuristicScratch::default()));
     }
 }

@@ -50,7 +50,7 @@ mod kmap;
 mod outcomes;
 mod perpetual;
 
-pub use heuristic::{Derivation, DeriveRule, HeuristicOutcome};
+pub use heuristic::{Derivation, DeriveRule, HeuristicOutcome, HeuristicScratch};
 pub use kmap::{KMap, SeqAssignment};
 pub use outcomes::{
     convert_all_outcomes, fr_lower_bound, IdxRef, LoadRef, PerpCond, PerpetualOutcome, StoreTerm,

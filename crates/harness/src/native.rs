@@ -358,8 +358,9 @@ mod tests {
         let n = 500u64;
         let run = run_perpetual(&conv.perpetual, n);
         let bufs = run.bufs();
+        let mut scratch = perple_convert::HeuristicScratch::default();
         let hits = (0..n)
-            .filter(|&i| conv.target_heuristic.eval(i, &bufs, n))
+            .filter(|&i| conv.target_heuristic.eval(i, &bufs, n, &mut scratch))
             .count();
         assert_eq!(hits, 0);
     }

@@ -267,11 +267,12 @@ mod tests {
     /// Minimal local reimplementation of the heuristic target count to
     /// avoid a dev-dependency cycle on perple-analysis.
     mod perple_analysis_shim {
-        use perple_convert::Conversion;
+        use perple_convert::{Conversion, HeuristicScratch};
 
         pub fn count_heuristic_target(conv: &Conversion, bufs: &[&[u64]], n: u64) -> u64 {
+            let mut scratch = HeuristicScratch::default();
             (0..n)
-                .filter(|&i| conv.target_heuristic.eval(i, bufs, n))
+                .filter(|&i| conv.target_heuristic.eval(i, bufs, n, &mut scratch))
                 .count() as u64
         }
     }

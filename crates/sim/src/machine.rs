@@ -9,11 +9,12 @@ use crate::budget::Budget;
 use crate::config::SimConfig;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::program::{SimOp, ThreadSpec};
-use crate::rng::XorShiftStar;
+use crate::rng::{Threshold, XorShiftStar};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use perple_model::ModelPolicy;
 use perple_obs::metrics::{self as obs_metrics, Hist, Metric};
 use perple_obs::trace as obs_trace;
+use std::collections::VecDeque;
 
 /// Cycles between watchdog polls in budgeted runs; a budgeted run overruns
 /// its budget by at most this many cycles of simulation work.
@@ -93,15 +94,147 @@ struct ThreadState {
     regs: Vec<u64>,
     buf: Vec<u64>,
     /// FIFO store buffer: (resolved cell, value), oldest first.
-    buffer: std::collections::VecDeque<(usize, u64)>,
+    buffer: VecDeque<(usize, u64)>,
     /// Bitmask of body indices issued this iteration (relaxed model only;
     /// in-order models leave it at zero and step by `pc`).
     issued: u64,
+    /// The relaxed issue window's masks (empty for in-order models).
+    window: IssueWindow,
     done: bool,
     /// Last iteration a stuck fault fired on, so a stall window is bounded
     /// to one firing per covered iteration (otherwise a probability-1 clause
     /// would re-trigger on wake-up forever and the run would never end).
     stuck_fired_iter: u64,
+}
+
+impl ThreadState {
+    /// Done with its iterations and its store buffer: the thread makes no
+    /// further draws and never changes again.
+    fn finished(&self) -> bool {
+        self.done && self.buffer.is_empty()
+    }
+}
+
+/// The relaxed model's issue window as bitmasks over body indices, built
+/// once per run so a step picks its op with a few mask operations instead
+/// of allocating and rescanning the body.
+#[derive(Default)]
+struct IssueWindow {
+    /// Every op of the body.
+    all: u64,
+    /// `Record` ops: retired for free, in program order.
+    records: u64,
+    /// Stores: they need buffer headroom.
+    stores: u64,
+    /// `MFENCE` and `XCHG`: they need an empty buffer.
+    barriers: u64,
+    /// Per op, the earlier ops that must have issued before it may (see
+    /// [`fill_blockers`]).
+    blockers: Vec<u64>,
+    /// True if the same-cell relation between two ops changes with the
+    /// iteration (memory ops with different strides), so `blockers` is
+    /// recomputed whenever the thread enters an iteration. Fixed-address
+    /// bodies — every perpetual body — and uniformly strided ones compute
+    /// it once per run.
+    per_iteration: bool,
+}
+
+impl IssueWindow {
+    fn new(body: &[SimOp]) -> Self {
+        let mut w = IssueWindow {
+            all: u64::MAX >> (64 - body.len()),
+            blockers: vec![0; body.len()],
+            ..IssueWindow::default()
+        };
+        let mut stride = None;
+        for (i, op) in body.iter().enumerate() {
+            let addr = match *op {
+                SimOp::Record { .. } => {
+                    w.records |= 1 << i;
+                    continue;
+                }
+                SimOp::Mfence => {
+                    w.barriers |= 1 << i;
+                    continue;
+                }
+                SimOp::Xchg { addr, .. } => {
+                    w.barriers |= 1 << i;
+                    addr
+                }
+                SimOp::Store { addr, .. } => {
+                    w.stores |= 1 << i;
+                    addr
+                }
+                SimOp::Load { addr, .. } => addr,
+            };
+            w.per_iteration |= *stride.get_or_insert(addr.stride) != addr.stride;
+        }
+        fill_blockers(body, 0, &mut w.blockers);
+        w
+    }
+}
+
+/// The cell a memory op touches in iteration `iter`, if it is one.
+fn op_cell(op: SimOp, iter: u64) -> Option<usize> {
+    match op {
+        SimOp::Store { addr, .. } | SimOp::Load { addr, .. } | SimOp::Xchg { addr, .. } => {
+            Some(addr.resolve(iter))
+        }
+        SimOp::Record { .. } | SimOp::Mfence => None,
+    }
+}
+
+/// Fills `blockers[i]` with the earlier ops op `i` waits for in iteration
+/// `iter` under the relaxed model:
+///
+/// * `MFENCE`/`XCHG` wait for every earlier op (plus an empty buffer,
+///   checked at issue);
+/// * a store or load waits for earlier fences and locked ops and for
+///   earlier accesses to the same cell; a load also waits for earlier
+///   writers of its register and earlier `Record`s of it, so loads into
+///   one register keep program order and every record captures the value
+///   of its own latest earlier writer;
+/// * a `Record` waits for the latest earlier op writing its register;
+///   records also retire in program order, which the step enforces by
+///   only ever retiring the first unissued one.
+fn fill_blockers(body: &[SimOp], iter: u64, blockers: &mut [u64]) {
+    for (i, &op) in body.iter().enumerate() {
+        let earlier = &body[..i];
+        blockers[i] = match op {
+            SimOp::Mfence | SimOp::Xchg { .. } => (1 << i) - 1,
+            SimOp::Record { reg } => earlier
+                .iter()
+                .rposition(|&e| writes_reg(e, reg))
+                .map_or(0, |j| 1 << j),
+            SimOp::Store { .. } | SimOp::Load { .. } => {
+                let cell = op_cell(op, iter);
+                let load_reg = match op {
+                    SimOp::Load { reg, .. } => Some(reg),
+                    _ => None,
+                };
+                let mut mask = 0;
+                for (j, &e) in earlier.iter().enumerate() {
+                    let blocks = match e {
+                        SimOp::Mfence | SimOp::Xchg { .. } => true,
+                        SimOp::Store { .. } => op_cell(e, iter) == cell,
+                        SimOp::Load { reg, .. } => {
+                            op_cell(e, iter) == cell || load_reg == Some(reg)
+                        }
+                        SimOp::Record { reg } => load_reg == Some(reg),
+                    };
+                    if blocks {
+                        mask |= 1 << j;
+                    }
+                }
+                mask
+            }
+        };
+    }
+}
+
+/// True if `op` writes register `reg`.
+fn writes_reg(op: SimOp, reg: u8) -> bool {
+    matches!(op, SimOp::Load { reg: r, .. } | SimOp::Xchg { reg: r, .. } if r == reg)
 }
 
 impl Machine {
@@ -208,13 +341,32 @@ impl Machine {
                 buf: Vec::with_capacity(
                     (spec.records_per_iteration() as u64 * spec.iterations) as usize,
                 ),
-                buffer: std::collections::VecDeque::with_capacity(self.config.buffer_capacity),
+                buffer: VecDeque::with_capacity(self.config.buffer_capacity),
                 issued: 0,
+                window: if policy.out_of_order_issue && !spec.body.is_empty() {
+                    IssueWindow::new(&spec.body)
+                } else {
+                    IssueWindow::default()
+                },
                 done: spec.iterations == 0,
                 stuck_fired_iter: u64::MAX,
             })
             .collect();
 
+        // The run loop works on locals: integer thresholds for the four
+        // per-cycle draws (draw-for-draw equal to `chance`, see the rng
+        // module) and both PRNGs, written back when the loop ends.
+        let config = &self.config;
+        let p_drain = Threshold::new(config.drain_prob);
+        let p_preempt = Threshold::new(config.preempt_prob);
+        let p_micro_preempt = Threshold::new(config.micro_preempt_prob);
+        let p_stall = Threshold::new(config.stall_prob);
+        let per_location_drain = config.weak_store_order || policy.per_location_drain;
+        let fault_plan = &config.fault_plan;
+        let mut rng = self.rng.clone();
+        let mut fault_rng = self.fault_rng.clone();
+
+        let mut live = states.iter().filter(|s| !s.finished()).count();
         let mut cycle: u64 = 0;
         let mut drains: u64 = 0;
         let mut faults: u64 = 0;
@@ -222,11 +374,7 @@ impl Machine {
         let mut micro_preempts: u64 = 0;
         let mut stalls: u64 = 0;
         let mut complete = true;
-        loop {
-            let all_done = states.iter().all(|s| s.done && s.buffer.is_empty());
-            if all_done {
-                break;
-            }
+        while live > 0 {
             if let Some(b) = budget {
                 if cycle.is_multiple_of(BUDGET_POLL_INTERVAL) && b.expired() {
                     complete = false;
@@ -236,54 +384,74 @@ impl Machine {
             cycle += 1;
 
             for s in states.iter_mut() {
-                // Drain the oldest buffered store with configured
-                // probability; drains continue after the thread retires.
-                let tid = s.index;
-                if !s.buffer.is_empty() && self.rng.chance(self.config.drain_prob) {
-                    let idx = if s.buffer.len() > 1
-                        && (self.config.weak_store_order || policy.per_location_drain)
-                    {
-                        // PSO-like machine: drain the oldest entry of a
-                        // random location (per-location FIFO preserved).
-                        random_location_head(&s.buffer, &mut self.rng)
-                    } else if s.buffer.len() > 1
-                        && self
-                            .config
-                            .fault_plan
-                            .reorder_fault(tid, s.iter)
-                            .is_some_and(|spec| self.fault_rng.chance(spec.prob))
-                    {
-                        // Reorder burst: the same PSO drain, but scoped to
-                        // the fault window and drawn from the fault PRNG.
-                        faults += 1;
-                        sink.emit(cycle, tid, TraceKind::Fault { kind: "reorder" });
-                        random_location_head(&s.buffer, &mut self.fault_rng)
-                    } else {
-                        0
-                    };
-                    // Invariant: a drain is only scheduled when the buffer
-                    // is non-empty, and both index choices above are bounded
-                    // by `buffer.len()`.
-                    let (cell, v) = s.buffer.remove(idx).expect("non-empty buffer");
-                    mem[cell] = v;
-                    drains += 1;
-                    sink.emit(cycle, tid, TraceKind::Drain { cell, value: v });
-                }
-
-                if s.done || cycle < s.start_delay || cycle < s.blocked_until {
+                // A finished thread would draw nothing this cycle.
+                if s.finished() {
                     continue;
                 }
-                if let Some(spec) = self.config.fault_plan.stuck_fault(tid, s.iter) {
-                    if s.stuck_fired_iter != s.iter && self.fault_rng.chance(spec.prob) {
-                        let stall = match spec.kind {
-                            FaultKind::StuckThread { stall } => stall,
-                            // stuck_fault only yields StuckThread clauses.
-                            _ => unreachable!("stuck_fault returned a non-stuck clause"),
+                'thread: {
+                    // Drain the oldest buffered store with configured
+                    // probability; drains continue after the thread retires.
+                    let tid = s.index;
+                    if !s.buffer.is_empty() && rng.hits(p_drain) {
+                        let idx = if s.buffer.len() > 1 && per_location_drain {
+                            // PSO-like machine: drain the oldest entry of a
+                            // random location (per-location FIFO preserved).
+                            random_location_head(&s.buffer, &mut rng)
+                        } else if s.buffer.len() > 1
+                            && fault_plan
+                                .reorder_fault(tid, s.iter)
+                                .is_some_and(|spec| fault_rng.chance(spec.prob))
+                        {
+                            // Reorder burst: the same PSO drain, but scoped
+                            // to the fault window and drawn from the fault
+                            // PRNG.
+                            faults += 1;
+                            sink.emit(cycle, tid, TraceKind::Fault { kind: "reorder" });
+                            random_location_head(&s.buffer, &mut fault_rng)
+                        } else {
+                            0
                         };
-                        s.stuck_fired_iter = s.iter;
-                        s.blocked_until = cycle + stall;
-                        faults += 1;
-                        sink.emit(cycle, tid, TraceKind::Fault { kind: "stuck" });
+                        // Invariant: a drain is only scheduled when the
+                        // buffer is non-empty, and both index choices above
+                        // are bounded by `buffer.len()`.
+                        let (cell, v) = if idx == 0 {
+                            s.buffer.pop_front()
+                        } else {
+                            s.buffer.remove(idx)
+                        }
+                        .expect("non-empty buffer");
+                        mem[cell] = v;
+                        drains += 1;
+                        sink.emit(cycle, tid, TraceKind::Drain { cell, value: v });
+                    }
+
+                    if s.done || cycle < s.start_delay || cycle < s.blocked_until {
+                        break 'thread;
+                    }
+                    if let Some(spec) = fault_plan.stuck_fault(tid, s.iter) {
+                        if s.stuck_fired_iter != s.iter && fault_rng.chance(spec.prob) {
+                            let stall = match spec.kind {
+                                FaultKind::StuckThread { stall } => stall,
+                                // stuck_fault only yields StuckThread clauses.
+                                _ => unreachable!("stuck_fault returned a non-stuck clause"),
+                            };
+                            s.stuck_fired_iter = s.iter;
+                            s.blocked_until = cycle + stall;
+                            faults += 1;
+                            sink.emit(cycle, tid, TraceKind::Fault { kind: "stuck" });
+                            sink.emit(
+                                cycle,
+                                tid,
+                                TraceKind::Blocked {
+                                    until: s.blocked_until,
+                                },
+                            );
+                            break 'thread;
+                        }
+                    }
+                    if rng.hits(p_preempt) {
+                        s.blocked_until = cycle + rng.duration(config.mean_preempt);
+                        preempts += 1;
                         sink.emit(
                             cycle,
                             tid,
@@ -291,65 +459,58 @@ impl Machine {
                                 until: s.blocked_until,
                             },
                         );
-                        continue;
+                        break 'thread;
+                    }
+                    if rng.hits(p_micro_preempt) {
+                        s.blocked_until = cycle + rng.duration(config.mean_micro_preempt);
+                        micro_preempts += 1;
+                        sink.emit(
+                            cycle,
+                            tid,
+                            TraceKind::Blocked {
+                                until: s.blocked_until,
+                            },
+                        );
+                        break 'thread;
+                    }
+                    if rng.hits(p_stall) {
+                        s.blocked_until = cycle + rng.duration(config.mean_stall);
+                        stalls += 1;
+                        break 'thread;
+                    }
+                    if policy.out_of_order_issue {
+                        step_thread_relaxed(
+                            s,
+                            &mut mem,
+                            config.buffer_capacity,
+                            cycle,
+                            sink,
+                            fault_plan,
+                            &mut rng,
+                            &mut fault_rng,
+                            &mut faults,
+                        );
+                    } else {
+                        step_thread(
+                            s,
+                            &mut mem,
+                            config.buffer_capacity,
+                            cycle,
+                            sink,
+                            fault_plan,
+                            &mut fault_rng,
+                            &mut faults,
+                            policy,
+                        );
                     }
                 }
-                if self.rng.chance(self.config.preempt_prob) {
-                    s.blocked_until = cycle + self.rng.duration(self.config.mean_preempt);
-                    preempts += 1;
-                    sink.emit(
-                        cycle,
-                        tid,
-                        TraceKind::Blocked {
-                            until: s.blocked_until,
-                        },
-                    );
-                    continue;
-                }
-                if self.rng.chance(self.config.micro_preempt_prob) {
-                    s.blocked_until = cycle + self.rng.duration(self.config.mean_micro_preempt);
-                    micro_preempts += 1;
-                    sink.emit(
-                        cycle,
-                        tid,
-                        TraceKind::Blocked {
-                            until: s.blocked_until,
-                        },
-                    );
-                    continue;
-                }
-                if self.rng.chance(self.config.stall_prob) {
-                    s.blocked_until = cycle + self.rng.duration(self.config.mean_stall);
-                    stalls += 1;
-                    continue;
-                }
-                if policy.out_of_order_issue {
-                    step_thread_relaxed(
-                        s,
-                        &mut mem,
-                        self.config.buffer_capacity,
-                        cycle,
-                        sink,
-                        &self.config.fault_plan,
-                        &mut self.rng,
-                        &mut self.fault_rng,
-                        &mut faults,
-                    );
-                } else {
-                    step_thread(
-                        s,
-                        &mut mem,
-                        self.config.buffer_capacity,
-                        cycle,
-                        sink,
-                        &self.config.fault_plan,
-                        &mut self.fault_rng,
-                        &mut faults,
-                        policy,
-                    );
+                if s.finished() {
+                    live -= 1;
                 }
             }
         }
+        self.rng = rng;
+        self.fault_rng = fault_rng;
 
         // One metrics flush per run (not per cycle): the hot loop only
         // bumps local integers, and observability stays write-only, so a
@@ -379,19 +540,19 @@ impl Machine {
 
 /// Index of the oldest buffered store of a uniformly random location
 /// (per-location FIFO order is preserved; cross-location order is not).
-fn random_location_head(
-    buffer: &std::collections::VecDeque<(usize, u64)>,
-    rng: &mut XorShiftStar,
-) -> usize {
-    let mut heads: Vec<usize> = Vec::with_capacity(buffer.len());
-    let mut seen: Vec<usize> = Vec::with_capacity(buffer.len());
-    for (i, &(cell, _)) in buffer.iter().enumerate() {
-        if !seen.contains(&cell) {
-            seen.push(cell);
-            heads.push(i);
-        }
-    }
-    heads[rng.below(heads.len() as u64) as usize]
+/// One `below` draw over the number of distinct locations, then the k-th
+/// first occurrence, found in place.
+fn random_location_head(buffer: &VecDeque<(usize, u64)>, rng: &mut XorShiftStar) -> usize {
+    let is_head = |i: usize| {
+        let cell = buffer[i].0;
+        buffer.range(..i).all(|&(c, _)| c != cell)
+    };
+    let heads = (0..buffer.len()).filter(|&i| is_head(i)).count();
+    let k = rng.below(heads as u64) as usize;
+    (0..buffer.len())
+        .filter(|&i| is_head(i))
+        .nth(k)
+        .expect("k < number of heads")
 }
 
 /// Executes free `Record` ops and then at most one timed op for the thread
@@ -519,92 +680,32 @@ fn advance(s: &mut ThreadState) {
 /// the thread into the next iteration (the relaxed-path `advance`).
 fn mark_issued(s: &mut ThreadState, i: usize) {
     s.issued |= 1 << i;
-    if s.issued == u64::MAX >> (64 - s.body.len()) {
+    if s.issued == s.window.all {
         s.issued = 0;
         s.iter += 1;
         if s.iter >= s.target {
             s.done = true;
+        } else if s.window.per_iteration {
+            fill_blockers(&s.body, s.iter, &mut s.window.blockers);
         }
     }
 }
 
-fn is_issued(s: &ThreadState, i: usize) -> bool {
-    s.issued & (1 << i) != 0
-}
-
-/// The shared-memory cell op `i` touches this iteration, if any.
-fn op_cell(s: &ThreadState, i: usize) -> Option<usize> {
-    match s.body[i] {
-        SimOp::Store { addr, .. } | SimOp::Load { addr, .. } | SimOp::Xchg { addr, .. } => {
-            Some(addr.resolve(s.iter))
-        }
-        SimOp::Record { .. } | SimOp::Mfence => None,
+/// The `k`-th (0-based) set bit of `mask`; `k < mask.count_ones()`.
+fn nth_set_bit(mut mask: u64, k: u64) -> usize {
+    for _ in 0..k {
+        mask &= mask - 1;
     }
-}
-
-/// Relaxed-model eligibility of timed op `i`: no unissued earlier fence or
-/// locked op, no unissued earlier access to the same cell; fences and
-/// locked ops themselves wait for *everything* earlier plus an empty store
-/// buffer; a store additionally needs buffer headroom.
-fn relaxed_eligible(s: &ThreadState, i: usize, buffer_capacity: usize) -> bool {
-    let earlier_mask = (1u64 << i) - 1;
-    match s.body[i] {
-        SimOp::Record { .. } => false, // records issue on the free path
-        SimOp::Mfence | SimOp::Xchg { .. } => {
-            s.issued & earlier_mask == earlier_mask && s.buffer.is_empty()
-        }
-        SimOp::Store { .. } | SimOp::Load { .. } => {
-            if matches!(s.body[i], SimOp::Store { .. }) && s.buffer.len() >= buffer_capacity {
-                return false;
-            }
-            let cell = op_cell(s, i);
-            for j in 0..i {
-                if is_issued(s, j) {
-                    continue;
-                }
-                match s.body[j] {
-                    SimOp::Mfence | SimOp::Xchg { .. } => return false,
-                    SimOp::Store { .. } | SimOp::Load { .. } => {
-                        if op_cell(s, j) == cell {
-                            return false;
-                        }
-                    }
-                    SimOp::Record { .. } => {}
-                }
-            }
-            true
-        }
-    }
-}
-
-/// The next `Record` the relaxed path may retire for free: records issue in
-/// program order relative to each other, each after the latest earlier op
-/// writing its register (so it captures this iteration's value).
-fn next_free_record(s: &ThreadState) -> Option<usize> {
-    for i in 0..s.body.len() {
-        if let SimOp::Record { reg } = s.body[i] {
-            if is_issued(s, i) {
-                continue;
-            }
-            let writer_issued = (0..i)
-                .rev()
-                .find(|&j| match s.body[j] {
-                    SimOp::Load { reg: r, .. } | SimOp::Xchg { reg: r, .. } => r == reg,
-                    _ => false,
-                })
-                .is_none_or(|j| is_issued(s, j));
-            return writer_issued.then_some(i);
-        }
-    }
-    None
+    mask.trailing_zeros() as usize
 }
 
 /// Relaxed-model thread step: retires eligible `Record`s for free, then
 /// executes one timed op drawn uniformly from the issue window — any
-/// instruction whose same-cell and fence predecessors have issued. This is
-/// what lets a store pass an earlier load (exposing lb) and loads pass each
-/// other (exposing iriw); per-location buffer drains come from the shared
-/// drain loop, as under PSO.
+/// unissued op whose blockers (see [`fill_blockers`]) have issued, given
+/// buffer headroom for a store and an empty buffer for a fence or locked
+/// op. This is what lets a store pass an earlier load (exposing lb) and
+/// loads pass each other (exposing iriw); per-location buffer drains come
+/// from the shared drain loop, as under PSO.
 #[allow(clippy::too_many_arguments)]
 fn step_thread_relaxed<S: Sink>(
     s: &mut ThreadState,
@@ -619,7 +720,16 @@ fn step_thread_relaxed<S: Sink>(
 ) {
     let mut free_budget = s.body.len();
     while free_budget > 0 && !s.done {
-        let Some(i) = next_free_record(s) else { break };
+        // Records retire in program order: only the first unissued one may,
+        // once its register's writer has issued.
+        let pending = s.window.records & !s.issued;
+        if pending == 0 {
+            break;
+        }
+        let i = pending.trailing_zeros() as usize;
+        if s.window.blockers[i] & !s.issued != 0 {
+            break;
+        }
         if let SimOp::Record { reg } = s.body[i] {
             s.buf.push(s.regs[reg as usize]);
         }
@@ -629,13 +739,25 @@ fn step_thread_relaxed<S: Sink>(
     if s.done {
         return;
     }
-    let eligible: Vec<usize> = (0..s.body.len())
-        .filter(|&i| !is_issued(s, i) && relaxed_eligible(s, i, buffer_capacity))
-        .collect();
-    if eligible.is_empty() {
+    let mut candidates = s.window.all & !s.window.records & !s.issued;
+    if s.buffer.len() >= buffer_capacity {
+        candidates &= !s.window.stores;
+    }
+    if !s.buffer.is_empty() {
+        candidates &= !s.window.barriers;
+    }
+    let mut eligible = 0u64;
+    while candidates != 0 {
+        let i = candidates.trailing_zeros() as usize;
+        candidates &= candidates - 1;
+        if s.window.blockers[i] & !s.issued == 0 {
+            eligible |= 1 << i;
+        }
+    }
+    if eligible == 0 {
         return; // blocked on a fence / full buffer; drains will unblock us
     }
-    let i = eligible[rng.below(eligible.len() as u64) as usize];
+    let i = nth_set_bit(eligible, rng.below(eligible.count_ones() as u64));
     match s.body[i] {
         SimOp::Store { addr, expr } => {
             let cell = addr.resolve(s.iter);
@@ -1208,6 +1330,123 @@ mod tests {
         // Same-cell program order is preserved: a store/load pair on one
         // cell keeps its order, so final memory holds the last element.
         assert_eq!(out.final_mem, vec![400, 400]);
+    }
+
+    #[test]
+    fn relaxed_respects_register_dependencies() {
+        use perple_model::ModelId;
+        // Loads into one register keep program order, and a record always
+        // captures its own load: x only ever holds odd values and y even
+        // ones, so every record slot tells which load it captured.
+        let load = |reg: u8, cell: u32| SimOp::Load {
+            reg,
+            addr: Addr::fixed(cell),
+        };
+        let writer = ThreadSpec::new(
+            vec![
+                SimOp::Store {
+                    addr: Addr::fixed(0),
+                    expr: ValExpr::Seq { k: 2, a: 1 },
+                },
+                SimOp::Store {
+                    addr: Addr::fixed(1),
+                    expr: ValExpr::Seq { k: 2, a: 2 },
+                },
+            ],
+            2_000,
+        );
+        // (body, per-slot expected parity: Some(1) odd-or-zero x, Some(0)
+        // even y, None unchecked).
+        let readers: [(Vec<SimOp>, &[Option<u64>]); 2] = [
+            (
+                vec![
+                    load(0, 0),
+                    SimOp::Record { reg: 0 },
+                    load(0, 1),
+                    SimOp::Record { reg: 0 },
+                ],
+                &[Some(1), Some(0)],
+            ),
+            (
+                // The second load of r0 must also wait for the record of the
+                // first, which waits in program order behind r1's record.
+                vec![
+                    load(1, 2),
+                    load(0, 0),
+                    SimOp::Record { reg: 1 },
+                    SimOp::Record { reg: 0 },
+                    load(0, 1),
+                    SimOp::Record { reg: 0 },
+                ],
+                &[None, Some(1), Some(0)],
+            ),
+        ];
+        for (body, parity) in readers {
+            for seed in 0..20 {
+                let threads = vec![writer.clone(), ThreadSpec::new(body.clone(), 2_000)];
+                let mut m = Machine::new(
+                    SimConfig::default()
+                        .with_seed(seed)
+                        .with_model(ModelId::Relaxed),
+                );
+                let out = m.run(&threads, 3);
+                for (i, &v) in out.bufs[1].iter().enumerate() {
+                    if let Some(p) = parity[i % parity.len()] {
+                        assert!(
+                            v == 0 || v % 2 == p,
+                            "seed {seed}: slot {} captured {v}, another load's value",
+                            i % parity.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relaxed_window_follows_per_iteration_cells() {
+        use perple_model::ModelId;
+        // A strided store and a fixed load share a cell only in iteration
+        // 0, so only there must they keep program order; every later
+        // iteration may issue the load first.
+        let body = vec![
+            SimOp::Store {
+                addr: Addr::strided(0, 1),
+                expr: ValExpr::Seq { k: 1, a: 1 },
+            },
+            SimOp::Load {
+                reg: 0,
+                addr: Addr::fixed(0),
+            },
+            SimOp::Record { reg: 0 },
+        ];
+        let n = 300;
+        let mut m = Machine::new(
+            SimConfig::default()
+                .with_seed(40)
+                .with_model(ModelId::Relaxed),
+        );
+        let mut trace = Trace::with_capacity(usize::MAX);
+        let out = m.run_traced(&[ThreadSpec::new(body, n)], n as usize, &mut trace);
+        assert_eq!(out.bufs[0][0], 1, "iteration 0 reads its own store");
+        // Each iteration issues exactly one store and one load, so the
+        // events pair up per iteration.
+        let ops: Vec<bool> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::StoreBuffered { .. } => Some(false),
+                TraceKind::Load { .. } => Some(true),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ops.len(), 2 * n as usize);
+        let load_first: Vec<bool> = ops.chunks(2).map(|pair| pair[0]).collect();
+        assert!(!load_first[0], "same cell: the load waits for the store");
+        assert!(
+            load_first[1..].iter().any(|&l| l),
+            "distinct cells: the window must let the load go first"
+        );
     }
 
     #[test]

@@ -249,8 +249,9 @@ fn watchdog_truncated_counts_are_a_prefix_of_untruncated() {
             .count(&CountRequest::new(&fb, n).with_budget(&budget));
         assert!(part.frames_examined <= n);
         let mut prefix = 0u64;
+        let mut scratch = perple_convert::HeuristicScratch::default();
         for i in 0..part.frames_examined {
-            if conv.target_heuristic.eval(i, &fb, n) {
+            if conv.target_heuristic.eval(i, &fb, n, &mut scratch) {
                 prefix += 1;
             }
         }

@@ -2,12 +2,19 @@
 //! default TSO pipeline bit-identical to its pre-refactor behaviour
 //! (machine digests, campaign cache fingerprints, the simulator cache
 //! descriptor) while the model lattice SC ⊆ TSO ⊆ PSO ⊆ Relaxed holds
-//! over the whole 88-test corpus.
+//! over the whole 88-test corpus. The SC, PSO and Relaxed machines, the
+//! fault paths, watchdog truncation and the relaxed litmus7 baseline are
+//! frozen the same way, so machine optimizations stay bit-identical.
 
 use perple::campaign::CampaignSpec;
 use perple::experiments::campaign::expand_items;
-use perple::{classify, enumerate, Conversion, ModelId, PerpleRunner, SimConfig};
+use perple::{
+    classify, enumerate, BaselineRunner, Budget, Conversion, FaultPlan, ModelId, PerpleRunner,
+    SimConfig, SyncMode,
+};
+use perple_harness::perpetual::thread_specs;
 use perple_model::suite;
+use perple_sim::{Machine, RunOutput, Trace, TraceKind};
 
 /// Runs `test` for `n` perpetual iterations under the given config and
 /// returns the run's content digest.
@@ -147,5 +154,220 @@ fn relaxed_model_unlocks_formerly_unexposable_targets() {
         let count = perple::HeuristicCounter::single(&conv.target_heuristic)
             .count(&perple::CountRequest::new(&bufs, 3_000));
         assert!(count.counts[0] > 0, "{name}: relaxed machine never fired");
+    }
+}
+
+/// FNV-1a over every field of a raw machine run: buffers, cycles, final
+/// memory, drains, faults and completion. Stronger than
+/// [`PerpleRun::content_digest`], which sees only the frame buffers.
+///
+/// [`PerpleRun::content_digest`]: perple::PerpleRun::content_digest
+fn run_digest(out: &RunOutput) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for buf in &out.bufs {
+        eat(buf.len() as u64);
+        buf.iter().for_each(|&v| eat(v));
+    }
+    eat(out.final_mem.len() as u64);
+    out.final_mem.iter().for_each(|&v| eat(v));
+    eat(out.cycles);
+    eat(out.drains);
+    eat(out.faults);
+    eat(out.complete as u64);
+    h
+}
+
+/// Runs the perpetual program of suite test `name` on a bare machine.
+fn machine_run(name: &str, n: u64, config: SimConfig, budget: Option<&Budget>) -> RunOutput {
+    let test = suite::by_name(name).expect("suite test");
+    let conv = Conversion::convert(&test).expect("convertible");
+    let specs = thread_specs(&conv.perpetual, n);
+    let cells = conv.perpetual.locations().len();
+    let mut machine = Machine::new(config);
+    match budget {
+        Some(b) => machine.run_budgeted(&specs, cells, b),
+        None => machine.run(&specs, cells),
+    }
+}
+
+#[test]
+fn every_model_machine_digests_match_pre_refactor_goldens() {
+    // Captured before the allocation-free machine step: SC, PSO and
+    // Relaxed must make the same PRNG draws in the same order, so both
+    // the frame digest and the whole-run digest (cycles, drains, final
+    // memory) are frozen. A mismatch is a regression, not a golden to
+    // update.
+    type Golden = (&'static str, u64, u64, u64, u64);
+    let goldens: &[(ModelId, &[Golden])] = &[
+        (
+            ModelId::Sc,
+            &[
+                ("sb", 1, 300, 0x50db8145da7d6a67, 0xf98ce4b27d3d5b62),
+                ("mp", 7, 500, 0xca58446acc8c87c7, 0x5dafee3efd8a909b),
+                ("safe022", 3, 250, 0x2ade752f34b6004f, 0x333a2a53c3593de5),
+            ],
+        ),
+        (
+            ModelId::Pso,
+            &[
+                ("sb", 1, 300, 0xacf9bec5097e34e9, 0xca0b3d953935754e),
+                ("mp", 42, 500, 0x83015f2ea62aa079, 0x18611b03562fa916),
+                ("podwr001", 9, 400, 0x839c621d10c52f49, 0xa239d636ee85faf1),
+                ("amd3", 11, 400, 0xdf614f459296c149, 0xb563665c9f2e4497),
+            ],
+        ),
+        (
+            ModelId::Relaxed,
+            &[
+                ("sb", 1, 300, 0xd183e77b84b8ee6b, 0x4c6fb0b5ad5cb69c),
+                ("lb", 5, 500, 0xa1b8ab48b2122f31, 0x16dab1fa6dbde990),
+                ("iriw", 9, 200, 0x14f606f1fc8c902c, 0xe592b60132e6d7d0),
+                ("mp", 7, 1000, 0x193b03e5134caff1, 0xd37820a6cfa9f434),
+                ("podwr001", 2, 400, 0x9400945a3992b9ff, 0xa84ef376100d8483),
+                ("safe022", 3, 250, 0x9ed2672d0b9eff35, 0xdaeb0079c29fe546),
+                ("amd3", 11, 400, 0x7c47d8014616ef9f, 0x5844c1bd0ca1d714),
+            ],
+        ),
+    ];
+    for &(model, rows) in goldens {
+        for &(name, seed, n, frames, whole) in rows {
+            let config = SimConfig::default().with_model(model);
+            let got = digest(name, seed, n, config.clone());
+            let run = run_digest(&machine_run(name, n, config.with_seed(seed), None));
+            assert_eq!(
+                got, frames,
+                "{model} {name} seed={seed} n={n}: frame digest"
+            );
+            assert_eq!(run, whole, "{model} {name} seed={seed} n={n}: run digest");
+        }
+    }
+}
+
+#[test]
+fn weak_store_order_fault_plan_and_budget_runs_match_pre_refactor_goldens() {
+    // The remaining machine paths: the weak_store_order switch, every
+    // fault kind firing (drop, corrupt, stuck, reorder), and a
+    // deterministic watchdog truncation. Frozen before the
+    // allocation-free machine step.
+    let weak = machine_run(
+        "mp",
+        600,
+        SimConfig::default()
+            .with_seed(13)
+            .with_weak_store_order(true),
+        None,
+    );
+    assert_eq!(
+        run_digest(&weak),
+        0x929eb1e76e29713e,
+        "weak_store_order run"
+    );
+
+    let plan = FaultPlan::parse(
+        "drop@t0:10..40:p0.5,corrupt@t0:50..90:p0.5,stuck@*:120..122:c300,reorder@t0:150..400",
+    )
+    .unwrap();
+    for (model, expect) in [
+        (ModelId::Tso, 0xfba9e7ce2912a103u64),
+        (ModelId::Pso, 0x1a5ccb48150e38cf),
+        (ModelId::Relaxed, 0xb8538b58d2c85688),
+    ] {
+        let config = SimConfig::default()
+            .with_seed(21)
+            .with_model(model)
+            .with_fault_plan(plan.clone());
+        let test = suite::by_name("mp").unwrap();
+        let conv = Conversion::convert(&test).unwrap();
+        let specs = thread_specs(&conv.perpetual, 500);
+        let mut trace = Trace::with_capacity(usize::MAX);
+        let out =
+            Machine::new(config).run_traced(&specs, conv.perpetual.locations().len(), &mut trace);
+        let mut fired = std::collections::BTreeSet::new();
+        for e in trace.events() {
+            if let TraceKind::Fault { kind } = e.kind {
+                fired.insert(kind);
+            }
+        }
+        let want: &[&str] = if model == ModelId::Tso {
+            &["corrupt", "drop", "reorder", "stuck"]
+        } else {
+            // PSO-style drains leave no room for a reorder burst.
+            &["corrupt", "drop", "stuck"]
+        };
+        assert_eq!(
+            fired.into_iter().collect::<Vec<_>>(),
+            want,
+            "{model}: fault kinds"
+        );
+        assert_eq!(run_digest(&out), expect, "{model}: fault-plan run");
+    }
+
+    for (model, expect) in [
+        (ModelId::Tso, 0xe36c2b6a063455dfu64),
+        (ModelId::Relaxed, 0x8f58db9f84ace628),
+    ] {
+        let config = SimConfig::default().with_seed(31).with_model(model);
+        let budget = Budget::with_poll_limit(40);
+        let out = machine_run("sb", 5_000, config, Some(&budget));
+        assert!(!out.complete, "{model}: the poll limit truncates the run");
+        assert_eq!(run_digest(&out), expect, "{model}: truncated run");
+    }
+}
+
+#[test]
+fn relaxed_litmus7_baseline_matches_pre_refactor_golden() {
+    // The unsynchronized baseline strides every address by the location
+    // count, so the relaxed issue window sees per-iteration cells.
+    type Golden = (&'static str, &'static [(&'static str, u64)], u64, u64);
+    let goldens: &[Golden] = &[
+        (
+            "lb",
+            &[("00", 79), ("01", 246), ("10", 1672), ("11", 3)],
+            3,
+            24218,
+        ),
+        (
+            "iriw",
+            &[
+                ("0000", 7),
+                ("0001", 2),
+                ("0010", 7),
+                ("0011", 34),
+                ("0100", 1),
+                ("0110", 24),
+                ("0111", 17),
+                ("1001", 2),
+                ("1011", 5),
+                ("1111", 1901),
+            ],
+            0,
+            23526,
+        ),
+    ];
+    for &(name, histogram, target, cycles) in goldens {
+        let mut runner = BaselineRunner::new(
+            SimConfig::default()
+                .with_seed(17)
+                .with_model(ModelId::Relaxed),
+            SyncMode::NoSync,
+        );
+        let run = runner.run(&suite::by_name(name).unwrap(), 2_000);
+        let got: Vec<(&str, u64)> = run
+            .outcome_counts
+            .iter()
+            .map(|(label, &count)| (label.as_str(), count))
+            .collect();
+        assert_eq!(got, histogram, "{name}: outcome histogram");
+        assert_eq!(
+            (run.target_count, run.exec_cycles),
+            (target, cycles),
+            "{name}"
+        );
     }
 }
