@@ -23,6 +23,8 @@ pub use allowed::*;
 pub use extra::non_convertible;
 pub use forbidden::*;
 
+use std::sync::OnceLock;
+
 use crate::test::LitmusTest;
 
 /// One row of Table II: name, `T`, `T_L`, and whether x86-TSO allows the
@@ -312,8 +314,17 @@ pub fn full() -> Vec<LitmusTest> {
 }
 
 /// Looks up a test of the full suite by name.
+///
+/// The suite is built once per process and each lookup clones one test
+/// from it, so expanding N names costs N clones rather than N suite
+/// builds.
 pub fn by_name(name: &str) -> Option<LitmusTest> {
-    full().into_iter().find(|t| t.name() == name)
+    static SUITE: OnceLock<Vec<LitmusTest>> = OnceLock::new();
+    SUITE
+        .get_or_init(full)
+        .iter()
+        .find(|t| t.name() == name)
+        .cloned()
 }
 
 /// Writes the full suite as individual `.litmus` files (litmus7 format)
@@ -435,11 +446,18 @@ mod tests {
 
     #[test]
     fn by_name_finds_every_test() {
-        for t in full() {
-            let found = by_name(t.name()).unwrap();
-            assert_eq!(found, t);
+        let tests = full();
+        assert_eq!(tests.len(), 88);
+        // Twice over: the second pass is served by the same process-wide
+        // suite and must still hand out equal, independent clones.
+        for _ in 0..2 {
+            for t in &tests {
+                assert_eq!(by_name(t.name()).as_ref(), Some(t), "{}", t.name());
+            }
         }
-        assert!(by_name("no-such-test").is_none());
+        for unknown in ["no-such-test", "", "SB", "sb "] {
+            assert!(by_name(unknown).is_none(), "{unknown:?}");
+        }
     }
 
     #[test]

@@ -62,7 +62,8 @@ use std::process::ExitCode;
 use perple::experiments::resilient::{audit_json, render_audit_text, resilient_audit};
 use perple::experiments::ExperimentConfig;
 use perple::{
-    classify, Conversion, CounterKind, FaultPlan, ModelId, Perple, PerpleRunner, SimConfig,
+    classify, forbidden_under, Conversion, CounterKind, FaultPlan, ModelId, Perple, PerpleRunner,
+    SimConfig,
 };
 use perple_model::{parser, suite, LitmusTest};
 
@@ -434,8 +435,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             count.frames_examined
         );
     }
-    let c = classify(&test);
-    if !c.allowed_under(cfg.model) && count.counts[0] > 0 {
+    if count.counts[0] > 0 && forbidden_under(&test, cfg.model) {
         println!(
             "!! {}-forbidden target observed: the machine violates {}",
             cfg.model,
@@ -456,7 +456,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     let mut violations = 0;
     for (row, test) in report.results.iter().zip(suite::convertible()) {
         if let Some(r) = row {
-            if !classify(&test).allowed_under(cfg.model) && r.heuristic > 0 {
+            if r.heuristic > 0 && forbidden_under(&test, cfg.model) {
                 violations += 1;
             }
         }

@@ -13,7 +13,10 @@
 //! * the executor: cache misses run as `test#seed`-named items on
 //!   [`run_suite_resilient`] via [`audit_one`], so campaigns inherit panic
 //!   isolation, watchdog budgets, deterministic retries, and quarantine;
-//! * conversion-artifact capture into the `conv/` cache namespace.
+//! * conversion-artifact capture into the `conv/` cache namespace;
+//! * each record's `forbidden` flag: one solver verdict per distinct test
+//!   under the spec's model ([`forbidden_under`]), computed once per run
+//!   the first time anything executes.
 //!
 //! ## Seeds and fingerprints
 //!
@@ -42,7 +45,7 @@ use perple_lint::{lint_test, LintConfig, LintReport, RuleId, Severity};
 use perple_model::{printer, suite, LitmusTest, ModelId};
 
 use crate::error::{parse_fault_plan, PerpleError};
-use crate::{classify, Conversion};
+use crate::{forbidden_under, Conversion};
 
 use super::resilient::{audit_one, run_suite_resilient, ItemStatus};
 use super::{derive_seed, ExperimentConfig};
@@ -360,7 +363,7 @@ pub fn run_spec_observed(
         &items,
         &meta,
         spec.durability(),
-        |batch| execute_batch(batch, &tests_by_name, &cfg, &cache),
+        run_executor(&tests_by_name, &cfg, &cache),
         on_item,
     )
     .map_err(|e| e.to_string())
@@ -416,24 +419,59 @@ pub fn resume_spec_observed(
         &items,
         &meta,
         spec.durability(),
-        |batch| execute_batch(batch, &tests_by_name, &cfg, &cache),
+        run_executor(&tests_by_name, &cfg, &cache),
         on_item,
     )
     .map_err(|e| e.to_string())
 }
 
+/// Forbidden-ness of every distinct test of a run under `model`, keyed by
+/// test name.
+fn run_verdicts(
+    tests_by_name: &HashMap<String, LitmusTest>,
+    model: ModelId,
+) -> HashMap<String, bool> {
+    let _span = perple_obs::trace::span("verdicts");
+    tests_by_name
+        .iter()
+        .map(|(name, t)| (name.clone(), forbidden_under(t, model)))
+        .collect()
+}
+
+/// The executor of one run (or resume). What it derives from the run's
+/// tests is computed once and reused by every batch of cache misses: the
+/// verdicts on the first batch (an all-hit run computes none), and the
+/// set of tests whose conversion artifacts were already captured.
+fn run_executor<'a>(
+    tests_by_name: &'a HashMap<String, LitmusTest>,
+    cfg: &'a ExperimentConfig,
+    cache: &'a ArtifactCache,
+) -> impl FnMut(&[CampaignItem]) -> Vec<Option<ExecOutcome>> + 'a {
+    let mut forbidden = None;
+    let mut captured = HashSet::new();
+    move |batch| {
+        let forbidden = forbidden.get_or_insert_with(|| run_verdicts(tests_by_name, cfg.model));
+        execute_batch(batch, tests_by_name, cfg, cache, forbidden, &mut captured)
+    }
+}
+
 /// Executes a batch of cache misses on the resilient suite pool and shapes
 /// the results for the engine.
+///
+/// # Panics
+/// If the batch names a test with no verdict (outside the run's
+/// expansion): recording it as allowed would hide its violations.
 fn execute_batch(
     batch: &[CampaignItem],
     tests_by_name: &HashMap<String, LitmusTest>,
     cfg: &ExperimentConfig,
     cache: &ArtifactCache,
+    forbidden: &HashMap<String, bool>,
+    captured: &mut HashSet<String>,
 ) -> Vec<Option<ExecOutcome>> {
-    // Capture conversion artifacts for every distinct test in the batch
+    // Capture conversion artifacts for every distinct test, once per run
     // (write-if-absent; convert failures are left to the executor, which
     // reports them per item).
-    let mut captured = HashSet::new();
     for item in batch {
         let Some(test) = tests_by_name.get(&item.test) else {
             continue;
@@ -450,23 +488,19 @@ fn execute_batch(
         }
     }
 
-    // Forbidden-ness per distinct test under the campaign's model, derived
-    // once (classification is a pure function of the test, so hits never
-    // need it).
-    let forbidden: HashMap<&str, bool> = tests_by_name
+    let verdicts: Vec<bool> = batch
         .iter()
-        .map(|(name, t)| (name.as_str(), !classify(t).allowed_under(cfg.model)))
+        .map(|i| match forbidden.get(&i.test) {
+            Some(&f) => f,
+            None => panic!(
+                "campaign item {:?} has no verdict: test outside the run's expansion",
+                i.test
+            ),
+        })
         .collect();
-
     let pairs: Vec<(LitmusTest, &CampaignItem)> = batch
         .iter()
-        .map(|i| {
-            let t = tests_by_name
-                .get(&i.test)
-                .cloned()
-                .expect("expand_items built both sides from the same spec");
-            (t, i)
-        })
+        .map(|i| (tests_by_name[&i.test].clone(), i))
         .collect();
 
     let report = run_suite_resilient(
@@ -481,9 +515,8 @@ fn execute_batch(
         .results
         .iter()
         .zip(&report.items)
-        .zip(batch)
-        .map(|((row, disposition), item)| {
-            let is_forbidden = forbidden.get(item.test.as_str()).copied().unwrap_or(false);
+        .zip(batch.iter().zip(verdicts))
+        .map(|((row, disposition), (item, is_forbidden))| {
             let model = (cfg.model != ModelId::Tso).then(|| cfg.model.name().to_owned());
             let outcome = match row {
                 Some(r) => ExecOutcome {
@@ -733,6 +766,27 @@ mod tests {
         let cache = ArtifactCache::open(&root).unwrap();
         assert_eq!(cache.stats().1, 2, "sb and mp artifact bundles");
         let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    #[should_panic(expected = "campaign item \"sb\" has no verdict")]
+    fn a_missing_verdict_fails_closed_naming_the_test() {
+        // Recording a verdict-less item as allowed would hide its
+        // violations; the executor refuses before running anything.
+        let root = tmp_root("no-verdict");
+        let (cfg, expanded) = expand_items(&tiny_spec("no-verdict")).unwrap();
+        let cache = ArtifactCache::open(&root).unwrap();
+        let (test, item) = expanded.into_iter().next().unwrap();
+        let tests_by_name = HashMap::from([(item.test.clone(), test)]);
+        let mut captured = HashSet::new();
+        execute_batch(
+            &[item],
+            &tests_by_name,
+            &cfg,
+            &cache,
+            &HashMap::new(),
+            &mut captured,
+        );
     }
 
     #[test]

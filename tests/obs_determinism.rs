@@ -118,3 +118,46 @@ fn pipeline_digest_is_pinned_across_obs_feature_configs() {
 /// Computed from the seed pipeline; see
 /// `pipeline_digest_is_pinned_across_obs_feature_configs`.
 const GOLDEN_SB_DIGEST: u64 = 0x7fe9_6306_3f1b_9576;
+
+/// A campaign computes its per-test verdicts once per run, however many
+/// batches its cache misses are split into, and a warm re-run (all hits)
+/// computes none.
+#[test]
+fn campaign_computes_verdicts_once_per_run() {
+    use perple::campaign::CampaignSpec;
+    use perple::experiments::campaign::run_spec;
+
+    let _g = gate();
+    let store = std::env::temp_dir().join(format!("perple-obs-verdicts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    // One item per batch: three batches on the cold run.
+    let spec = CampaignSpec::parse(
+        "name = verdicts\ntests = sb, mp, lb\nseeds = 1\niterations = 200\n\
+         workers = 1\njournal_chunk = 1\n",
+    )
+    .expect("spec parses");
+
+    let traced_run = || {
+        obs::trace::start();
+        let summary = run_spec(&spec, &store, false).expect("campaign runs");
+        let trace = obs::trace::finish();
+        let verdicts = trace.spans.iter().filter(|s| s.name == "verdicts").count();
+        (summary, verdicts)
+    };
+    let (cold, cold_verdicts) = traced_run();
+    let (warm, warm_verdicts) = traced_run();
+    let _ = std::fs::remove_dir_all(&store);
+
+    assert_eq!((cold.executed, cold.hits), (3, 0));
+    assert_eq!((warm.executed, warm.hits), (0, 3));
+    if obs::metrics::enabled() {
+        assert_eq!(cold_verdicts, 1, "cold run: one verdict pass for 3 batches");
+        assert_eq!(warm_verdicts, 0, "warm run: all hits need no verdicts");
+    } else {
+        assert_eq!(
+            cold_verdicts + warm_verdicts,
+            0,
+            "off build records nothing"
+        );
+    }
+}

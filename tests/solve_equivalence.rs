@@ -6,10 +6,15 @@
 //! non-empty) and its verdicts stay monotone along the model lattice.
 //! A wall-clock race against the operational enumerator on the
 //! 3-thread corpus tests pins the asymptotic win the solver exists for.
+//! The per-model verdict campaigns, `perple run` and `perple audit` read
+//! (`forbidden_under`) is checked against the four-model operational
+//! classification it replaces.
 
 use std::time::Instant;
 
-use perple::enumerate;
+use perple::campaign::CampaignSpec;
+use perple::experiments::campaign::expand_tests;
+use perple::{classify, enumerate, forbidden_under, solver_forbidden};
 use perple_enumerate::axiomatic::allows;
 use perple_model::generate::generate_corpus;
 use perple_model::suite;
@@ -195,5 +200,39 @@ fn solver_beats_operational_enumeration_on_three_thread_tests() {
         solver_time * 10 <= enum_time,
         "solver must be >=10x faster than operational enumeration on 3-thread \
          tests: solver {solver_time:?}, enumeration {enum_time:?}"
+    );
+}
+
+#[test]
+fn per_model_verdicts_equal_the_operational_classification() {
+    // Every test a campaign can run: the convertible suite plus the
+    // `generated` campaign expansion, under every model.
+    let spec = CampaignSpec::parse("tests = generated\n").expect("spec parses");
+    let generated = expand_tests(&spec).expect("generated expands");
+    assert_eq!(generated.len(), 443, "generated expansion drifted");
+    let mut tests = suite::convertible();
+    assert_eq!(tests.len(), 34, "convertible suite drifted");
+    tests.extend(generated);
+
+    let (mut queries, mut abstained) = (0usize, 0usize);
+    for t in &tests {
+        let c = classify(t);
+        for model in ModelId::ALL {
+            queries += 1;
+            abstained += usize::from(solver_forbidden(t, model).is_none());
+            assert_eq!(
+                forbidden_under(t, model),
+                !c.allowed_under(model),
+                "{} under {model}: per-model verdict disagrees with classify",
+                t.name()
+            );
+        }
+    }
+    assert_eq!(queries, 1908);
+    // The enumerator fallback must stay exercised: some campaign tests
+    // carry an outcome shape the solver abstains on.
+    assert!(
+        abstained > 0,
+        "the solver decided all {queries} queries; the fallback is untested"
     );
 }
