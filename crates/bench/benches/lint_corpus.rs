@@ -32,7 +32,7 @@ fn main() {
     }
 
     {
-        // The worst single-test case: L003's axiomatic cross-check walks
+        // The worst single-test case: L003's solver cross-check walks
         // the whole outcome space, largest for 4-thread tests.
         let test = suite::by_name("iriw").expect("iriw in suite");
         bench.run("lint/iriw", || lint_test(std::hint::black_box(&test), &cfg));

@@ -11,13 +11,6 @@ use std::collections::{BTreeSet, HashSet};
 
 use perple_model::{Instr, LitmusTest, ModelId, Outcome, RegId, ThreadId};
 
-/// Deprecated name for the promoted model identifier.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `perple_model::ModelId` (re-exported as `perple_enumerate::ModelId`)"
-)]
-pub type MemoryModel = ModelId;
-
 /// One machine configuration during exploration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct State {
@@ -477,14 +470,5 @@ mod tests {
                 .expect("EAX valued");
             assert!(v == 0 || v == 2, "EAX={v} can only hold the second load");
         }
-    }
-
-    #[test]
-    fn deprecated_alias_still_resolves() {
-        #[allow(deprecated)]
-        fn takes_old_name(m: MemoryModel) -> ModelId {
-            m
-        }
-        assert_eq!(takes_old_name(ModelId::Tso), ModelId::Tso);
     }
 }

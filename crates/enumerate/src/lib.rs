@@ -41,11 +41,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod axiomatic;
 mod explore;
 
-#[allow(deprecated)]
-pub use explore::MemoryModel;
 pub use explore::{enumerate, ExecutionSet};
 pub use perple_model::ModelId;
 
@@ -171,40 +168,6 @@ mod tests {
                 "{}",
                 test.name()
             );
-        }
-    }
-
-    #[test]
-    fn hb_acyclicity_agrees_with_operational_sc() {
-        // The axiomatic SC check (happens-before acyclicity over all write
-        // serializations) must agree with the operational SC enumerator on
-        // every complete register outcome of every convertible test.
-        for test in suite::convertible() {
-            let sc = enumerate(&test, ModelId::Sc);
-            let reachable = sc.register_outcomes();
-            for outcome in test.possible_outcomes() {
-                let axiomatic = match perple_model::hb::is_sc_consistent(&test, &outcome) {
-                    Ok(b) => b,
-                    // A value no store produces is unreachable operationally.
-                    Err(perple_model::hb::HbError::NoWriter { .. }) => {
-                        assert!(
-                            !reachable.contains(&outcome),
-                            "{}: unattributable outcome {outcome} was reached",
-                            test.name()
-                        );
-                        continue;
-                    }
-                    // Ambiguous/reloaded registers: the axiomatic check
-                    // abstains; nothing to compare.
-                    Err(_) => continue,
-                };
-                assert_eq!(
-                    axiomatic,
-                    reachable.contains(&outcome),
-                    "{}: axiomatic/operational SC disagree on {outcome}",
-                    test.name()
-                );
-            }
         }
     }
 }

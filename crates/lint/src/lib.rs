@@ -16,7 +16,7 @@
 //! |------|------------------------|--------|
 //! | L001 | sequence-overflow      | `k_mem * n + a` fits the value width for the configured iteration count |
 //! | L002 | non-convertible        | per-clause / per-instruction reasons a test falls outside §V-C |
-//! | L003 | condition-vacuity      | dead / tautological conditions, cross-validated against the axiomatic TSO model |
+//! | L003 | condition-vacuity      | dead / tautological conditions, cross-validated against the solver under the configured model |
 //! | L004 | heuristic-ambiguity    | linear partner derivation falls back to lockstep (`p_out_h` may undercount) |
 //! | L005 | codegen-hygiene        | clobbered / unused registers, location aliasing in per-thread programs |
 //! | L006 | outcome-coverage       | condition clauses expecting values the outcome space cannot produce |
@@ -28,7 +28,7 @@
 //!
 //! [`Severity::Error`] marks converter bugs and configurations that would
 //! produce wrong counts (overflowing sequences, tautology/infeasibility
-//! disagreeing with the axiomatic model). [`Severity::Warning`] marks
+//! disagreeing with the solver's verdicts). [`Severity::Warning`] marks
 //! suspicious-but-runnable constructs (dead clauses, clobbered registers).
 //! [`Severity::Note`] is informational — in particular, the expected
 //! non-convertibility explanations (L002) for the 54-test complement are
@@ -94,7 +94,7 @@ pub enum RuleId {
     L001,
     /// Reasons a test is non-convertible (§V-C).
     L002,
-    /// Dead / tautological conditions vs the axiomatic model.
+    /// Dead / tautological conditions vs the solver.
     L003,
     /// Ambiguous linear partner derivation (heuristic undercount risk).
     L004,
@@ -159,7 +159,7 @@ impl RuleId {
         match self {
             RuleId::L001 => "prove k_mem*n+a fits the value width for the configured iteration count",
             RuleId::L002 => "explain per clause/instruction why a test is non-convertible (paper §V-C)",
-            RuleId::L003 => "detect dead or tautological conditions, cross-validated against the axiomatic TSO model",
+            RuleId::L003 => "detect dead or tautological conditions, cross-validated against the constraint solver's verdicts",
             RuleId::L004 => "flag outcomes whose linear partner derivation falls back to lockstep",
             RuleId::L005 => "flag clobbered or unused registers and case-aliased locations",
             RuleId::L006 => "flag condition clauses expecting values the outcome space cannot produce",

@@ -10,11 +10,11 @@ use std::collections::BTreeMap;
 
 use perple_convert::diagnose::{diagnose, ConvertObstruction};
 use perple_convert::{Conversion, KMap};
-use perple_enumerate::axiomatic::allows;
 use perple_model::{
     CondAtom, Instr, LitmusTest, LocId, ModelId, Outcome, Quantifier, SourceMap, Span, TestBuilder,
     ThreadId,
 };
+use perple_solve::Verdict;
 
 use crate::{Diagnostic, LintConfig, RuleId, Severity};
 
@@ -108,8 +108,8 @@ pub(crate) fn l002_non_convertible(test: &LitmusTest, map: &SourceMap, out: &mut
 }
 
 /// L003: satisfiability / vacuity of the condition, litmus-level over the
-/// outcome space and conversion-level against the axiomatic model
-/// configured by [`LintConfig::model`] (TSO by default).
+/// outcome space and conversion-level against the solver's verdicts under
+/// the model configured by [`LintConfig::model`] (TSO by default).
 ///
 /// A perpetual condition that is *tautological* for an outcome the model
 /// forbids — or *statically infeasible* for one it allows — means the
@@ -144,7 +144,7 @@ pub(crate) fn l003_condition_vacuity(
     }
 
     // Conversion level: per-outcome cross-check of the exhaustive perpetual
-    // condition p_out against the axiomatic model.
+    // condition p_out against the solver.
     let Ok(conv) = Conversion::convert(test) else {
         return;
     };
@@ -157,14 +157,19 @@ pub(crate) fn l003_condition_vacuity(
         .map(|o| (o.label(), o))
         .collect();
     for (perp, _heur) in &all {
+        let tautological =
+            perp.conds().is_empty() && perp.exist_threads().is_empty() && !perp.is_infeasible();
+        if !tautological && !perp.is_infeasible() {
+            continue; // a genuine condition is consistent with either verdict
+        }
         let Some(outcome) = by_label.get(perp.label()) else {
             continue;
         };
-        let Ok(allowed) = allows(test, outcome, cfg.model) else {
-            continue; // outcome outside the axiomatic model's scope
+        let Some(allowed) =
+            checked_feasible(test, outcome, cfg.model, RuleId::L003, map.condition(), out)
+        else {
+            continue; // outcome outside the solver's scope
         };
-        let tautological =
-            perp.conds().is_empty() && perp.exist_threads().is_empty() && !perp.is_infeasible();
         if tautological && !allowed {
             push(
                 out,
@@ -377,10 +382,11 @@ pub(crate) fn l006_outcome_coverage(test: &LitmusTest, map: &SourceMap, out: &mu
     }
 }
 
-/// The solver's feasibility verdict, cross-checked against the axiomatic
-/// enumerator (the L003 contract: the two formulations must agree, so a
-/// disagreement is an *internal* error, not a property of the test).
-/// Returns `None` when either side abstains or when they disagree.
+/// The solver's feasibility verdict, with every `Allowed` witness replayed
+/// through [`perple_solve::verify_witness`]. A witness that fails replay is
+/// a solver bug, not a property of the test, so it is reported as an
+/// *internal* error. Returns `None` when the solver abstains or its
+/// witness fails replay.
 fn checked_feasible(
     test: &LitmusTest,
     outcome: &Outcome,
@@ -389,40 +395,26 @@ fn checked_feasible(
     span: Span,
     out: &mut Vec<Diagnostic>,
 ) -> Option<bool> {
-    let solver = perple_solve::feasible(test, outcome, model);
-    let oracle = allows(test, outcome, model);
-    match (solver, oracle) {
-        (Ok(s), Ok(o)) if s == o => Some(s),
-        (Ok(s), Ok(_)) => {
-            push(
-                out,
-                rule,
-                Severity::Error,
-                span,
-                format!(
-                    "internal error: the constraint solver says outcome {} is {} under \
-                     {model} but the axiomatic enumerator disagrees",
-                    outcome.label(),
-                    if s { "allowed" } else { "forbidden" },
-                ),
-            );
-            None
-        }
-        (Err(_), Err(_)) => None, // both abstain: outcome outside scope
-        (s, o) => {
-            push(
-                out,
-                rule,
-                Severity::Error,
-                span,
-                format!(
-                    "internal error: solver and enumerator disagree on abstention for \
-                     outcome {} under {model} (solver {s:?}, enumerator {o:?})",
-                    outcome.label(),
-                ),
-            );
-            None
-        }
+    match perple_solve::solve(test, outcome, model) {
+        Ok(Verdict::Allowed(w)) => match perple_solve::verify_witness(test, outcome, model, &w) {
+            Ok(()) => Some(true),
+            Err(e) => {
+                push(
+                    out,
+                    rule,
+                    Severity::Error,
+                    span,
+                    format!(
+                        "internal error: the constraint solver's witness that outcome {} \
+                         is allowed under {model} fails replay: {e}",
+                        outcome.label(),
+                    ),
+                );
+                None
+            }
+        },
+        Ok(Verdict::Forbidden(_)) => Some(false),
+        Err(_) => None, // outcome outside the solver's scope
     }
 }
 
@@ -479,14 +471,15 @@ fn without_instr(test: &LitmusTest, thread: usize, index: usize) -> Option<Litmu
 /// space, all four models) orders nothing the surrounding code does not
 /// already order — it costs a pipeline drain for free.
 ///
-/// Scope: register-observable tests only. A memory-inspecting condition
-/// can distinguish final-memory states the register outcome space cannot,
-/// so fence deletion is not provably neutral there and the rule stays
-/// silent.
+/// Scope: register-observable tests whose fenced verdicts the solver
+/// decides on every outcome row. A memory-inspecting condition can
+/// distinguish final-memory states the register outcome space cannot, and
+/// an abstention leaves the outcome set unknown, so fence deletion is not
+/// provably neutral there and the rule stays silent.
 ///
-/// Verdicts on the *fenced* test are cross-checked against the enumerator;
-/// the fence-deleted variant shares the event structure, so its verdicts
-/// come from the solver alone.
+/// Allowed verdicts on the *fenced* test are witness-checked; the
+/// fence-deleted variant shares the event structure, so its verdicts are
+/// taken as the solver returns them.
 pub(crate) fn l007_fence_redundancy(test: &LitmusTest, map: &SourceMap, out: &mut Vec<Diagnostic>) {
     if test.target().inspects_memory() {
         return;
@@ -514,9 +507,9 @@ pub(crate) fn l007_fence_redundancy(test: &LitmusTest, map: &SourceMap, out: &mu
         };
         let redundant = ModelId::ALL.iter().all(|&model| {
             outcomes.iter().all(|o| {
-                let base = checked_feasible(test, o, model, RuleId::L007, span, out);
-                let bare = perple_solve::feasible(&variant, o, model).ok();
-                base == bare
+                checked_feasible(test, o, model, RuleId::L007, span, out).is_some_and(|base| {
+                    perple_solve::feasible(&variant, o, model).ok() == Some(base)
+                })
             })
         });
         if redundant {
@@ -750,7 +743,7 @@ mod tests {
     }
 
     #[test]
-    fn l003_axiomatic_cross_check_is_clean_on_the_convertible_suite() {
+    fn l003_solver_cross_check_is_clean_on_the_convertible_suite() {
         for t in suite::convertible() {
             let r = lint_test(&t, &cfg());
             let errors: Vec<_> = r
@@ -760,7 +753,7 @@ mod tests {
                 .collect();
             assert!(
                 errors.is_empty(),
-                "{}: p_out disagrees with the axiomatic model: {errors:?}",
+                "{}: p_out disagrees with the solver: {errors:?}",
                 t.name()
             );
         }

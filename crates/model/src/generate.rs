@@ -461,7 +461,6 @@ pub fn generate_corpus(max_len: usize, max_threads: usize) -> Vec<LitmusTest> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hb;
     use CycleEdge::*;
     use Dir::*;
 
@@ -506,30 +505,6 @@ mod tests {
         let t = from_cycle("gen-iriw", &[Rfe, Pod(R, R), Fre, Rfe, Pod(R, R), Fre]).unwrap();
         assert_eq!(t.thread_count(), 4);
         assert_eq!(t.load_thread_count(), 2);
-    }
-
-    #[test]
-    fn generated_conditions_are_sc_forbidden() {
-        // The defining property of a critical cycle: no completion of the
-        // generated condition is SC-consistent.
-        for cycle in [
-            vec![Pod(W, R), Fre, Pod(W, R), Fre],
-            vec![Pod(R, W), Rfe, Pod(R, W), Rfe],
-            vec![Pod(W, W), Rfe, Pod(R, R), Fre],
-            vec![Rfe, Pod(R, R), Fre, Rfe, Pod(R, R), Fre],
-            vec![Pod(W, W), Rfe, Pod(R, W), Rfe, Pod(R, R), Fre],
-        ] {
-            let t = from_cycle("gen", &cycle).unwrap();
-            if t.target().inspects_memory() {
-                continue; // hb check needs register-complete outcomes
-            }
-            for o in t.outcomes_matching_condition() {
-                assert!(
-                    !hb::is_sc_consistent(&t, &o).unwrap(),
-                    "cycle {cycle:?}: completion {o} is SC-consistent"
-                );
-            }
-        }
     }
 
     #[test]

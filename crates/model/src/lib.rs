@@ -10,8 +10,6 @@
 //! * a parser and printer for the litmus7 text format ([`parser`],
 //!   [`printer`]),
 //! * register-valuation [`Outcome`]s and outcome-space enumeration,
-//! * happens-before graph construction and analysis ([`hb`]) following
-//!   Alglave's `po`/`rf`/`ws`/`fr` edge taxonomy,
 //! * the **perpetual litmus suite** of Table II of the paper plus the
 //!   surrounding 88-test x86-TSO suite ([`suite`]).
 //!
@@ -34,7 +32,6 @@
 mod cond;
 mod error;
 pub mod generate;
-pub mod hb;
 mod ids;
 mod instr;
 pub mod memmodel;

@@ -1,5 +1,5 @@
 //! Memory-model identity and policy: the one value type every layer of the
-//! stack (simulator, enumerator, axiomatic checker, converter, campaign
+//! stack (simulator, enumerator, constraint solver, converter, campaign
 //! cache, CLI) uses to name the consistency model under test.
 //!
 //! [`ModelId`] is the *name* — parseable from the CLI/spec grammar, stable
@@ -100,7 +100,7 @@ impl ModelId {
     /// The axiomatic `ppo` filter: does this model's global-happens-before
     /// keep the program-order edge from an `earlier` access to a `later`
     /// access of the same thread? Fence and locked-instruction edges are
-    /// handled separately by the checker and always order; this only
+    /// handled separately by the solver and always order; this only
     /// decides *bare* po pairs.
     pub fn preserves_po(self, earlier: AccessKind, later: AccessKind, same_loc: bool) -> bool {
         match self {

@@ -312,7 +312,6 @@ pub fn safe036() -> LitmusTest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hb::is_sc_consistent;
 
     fn all() -> Vec<LitmusTest> {
         vec![
@@ -346,21 +345,6 @@ mod tests {
         for t in all() {
             assert!(t.target_outcome().is_some(), "{}", t.name());
             assert!(!t.doc().is_empty(), "{}", t.name());
-        }
-    }
-
-    #[test]
-    fn forbidden_targets_are_also_sc_inconsistent() {
-        // TSO-forbidden implies SC-forbidden (SC ⊆ TSO), checked via the
-        // acyclicity characterization on every completion of the condition.
-        for t in all() {
-            for o in t.outcomes_matching_condition() {
-                assert!(
-                    !is_sc_consistent(&t, &o).unwrap(),
-                    "{}: {o} unexpectedly SC-consistent",
-                    t.name()
-                );
-            }
         }
     }
 

@@ -504,18 +504,4 @@ mod tests {
             assert_eq!(t, back, "{}", t.name());
         }
     }
-
-    #[test]
-    fn target_outcomes_of_allowed_tests_are_sc_inconsistent() {
-        // Target outcomes are the distinguishing outcomes: they require store
-        // buffering, so no completion of the condition may be SC-consistent.
-        for t in allowed_targets() {
-            let completions = t.outcomes_matching_condition();
-            assert!(!completions.is_empty(), "{}", t.name());
-            for o in completions {
-                let sc = crate::hb::is_sc_consistent(&t, &o).unwrap();
-                assert!(!sc, "{}: completion {o} is SC-consistent", t.name());
-            }
-        }
-    }
 }

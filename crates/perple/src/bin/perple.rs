@@ -17,6 +17,7 @@
 //!             <test-name | file.litmus>...    static analysis of litmus tests
 //! perple solve <test-name | file.litmus> [--model M|all] [--json]
 //!              [--witness] [--oracle]         static feasibility verdicts
+//!                                             (--oracle: operational enumerator)
 //! perple gen  [--count N] [--model M] [--out DIR] [--max-len L]
 //!             [--max-threads T]               generate a litmus corpus
 //! perple campaign run <spec-file> [--store DIR] [--allow-lints] [--counter C]
@@ -100,8 +101,9 @@ fn main() -> ExitCode {
                  list                        list built-in tests\n\
                  lint     [--json] [--deny warnings] [--model M|all] [--bugfinder]\n\
                  \x20         <test|file>...     static analysis (exit 1 on errors)\n\
-                 solve    <test|file> [--model M|all] [--json] [--witness]\n\
+                 solve    <test|file> [--model M|all] [--json] [--witness] [--oracle]\n\
                  \x20                            static feasibility verdicts\n\
+                 \x20                            (--oracle: operational enumerator)\n\
                  gen      [--count N] [--model M] [--out DIR]\n\
                  \x20                            generate a litmus corpus\n\
                  campaign run <spec> [--store DIR] [--allow-lints] [--counter C]\n\
@@ -719,8 +721,9 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
 /// every outcome matching the test's condition, under one model or all
 /// four. `--witness` prints the machine-checked evidence (a coherence
 /// order + happens-before linearization for allowed, an unsatisfiable
-/// core for forbidden). `--oracle` answers from the axiomatic enumerator
-/// instead — the verdict-only output is byte-identical when the two
+/// core for forbidden). `--oracle` answers from the operational
+/// enumerator instead (one enumeration per model, then a membership check
+/// per outcome) — the verdict-only output is byte-identical when the two
 /// agree, which is exactly what the CI differential `cmp`s.
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     use perple::jsonout::Json;
@@ -773,17 +776,25 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     } else {
         vec![model]
     };
+    let reachable: Vec<_> = if oracle {
+        models
+            .iter()
+            .map(|&m| perple::enumerate(&test, m).register_outcomes())
+            .collect()
+    } else {
+        Vec::new()
+    };
     let mut rows = Vec::new();
     for outcome in &outcomes {
         let mut results = Vec::new();
-        for &m in &models {
+        for (mi, &m) in models.iter().enumerate() {
             if oracle {
-                let verdict = match perple_enumerate::axiomatic::allows(&test, outcome, m) {
-                    Ok(true) => "allowed".to_owned(),
-                    Ok(false) => "forbidden".to_owned(),
-                    Err(e) => format!("abstained: {e}"),
+                let verdict = if reachable[mi].contains(outcome) {
+                    "allowed"
+                } else {
+                    "forbidden"
                 };
-                results.push((m, verdict, None, None));
+                results.push((m, verdict.to_owned(), None, None));
                 continue;
             }
             match solve::solve(&test, outcome, m) {

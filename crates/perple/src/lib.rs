@@ -16,8 +16,8 @@
 //!
 //! | concern | crate |
 //! |---|---|
-//! | litmus AST, parser, suite, happens-before | [`perple_model`] |
-//! | SC/TSO outcome classification (herd substitute) | [`perple_enumerate`] |
+//! | litmus AST, parser, suite, model identity | [`perple_model`] |
+//! | SC/TSO/PSO/relaxed outcome classification (herd substitute) | [`perple_enumerate`] |
 //! | simulated x86-TSO machine | [`perple_sim`] |
 //! | Converter (perpetual tests + outcomes + codegen) | [`perple_convert`] |
 //! | Harness (perpetual + litmus7 baseline + native) | [`perple_harness`] |
@@ -59,8 +59,6 @@ pub use perple_campaign as campaign;
 pub use perple_convert::{
     Conversion, ConvertError, HeuristicOutcome, PerpetualOutcome, PerpetualTest,
 };
-#[allow(deprecated)]
-pub use perple_enumerate::MemoryModel;
 pub use perple_enumerate::{classify, enumerate, Classification};
 pub use perple_harness::baseline::{BaselineRun, BaselineRunner, SyncMode};
 pub use perple_harness::native;

@@ -2,7 +2,8 @@
 //! exercising every crate of the workspace together.
 
 use perple::{
-    classify, Conversion, CountRequest, Counter, HeuristicCounter, Perple, PerpleRunner, SimConfig,
+    classify, Conversion, CountRequest, Counter, HeuristicCounter, ModelId, Perple, PerpleRunner,
+    SimConfig,
 };
 use perple_model::{parser, printer, suite};
 
@@ -71,16 +72,24 @@ fn full_suite_split_is_34_54_and_only_convertible_run_perpetually() {
 }
 
 #[test]
-fn classification_is_consistent_between_axiomatic_and_operational_views() {
-    // For every convertible test: the hb-graph SC check on the target's
-    // completions agrees with the operational enumerator's SC verdict.
+fn classification_is_consistent_between_solver_and_operational_views() {
+    // For every convertible test and every model: the solver's verdicts on
+    // the target's completions agree with the operational enumerator's
+    // classification.
     for test in suite::convertible() {
         let class = classify(&test);
         let completions = test.outcomes_matching_condition();
-        let any_sc = completions
-            .iter()
-            .filter_map(|o| perple_model::hb::is_sc_consistent(&test, o).ok())
-            .any(|b| b);
-        assert_eq!(any_sc, class.sc_allowed, "{}", test.name());
+        for model in ModelId::ALL {
+            let any_allowed = completions
+                .iter()
+                .filter_map(|o| perple::solve::feasible(&test, o, model).ok())
+                .any(|b| b);
+            assert_eq!(
+                any_allowed,
+                class.allowed_under(model),
+                "{} under {model}",
+                test.name()
+            );
+        }
     }
 }

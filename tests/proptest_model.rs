@@ -1,5 +1,5 @@
 //! Property-based tests over randomly generated litmus tests: parser
-//! round-trips, SC ⊆ TSO, axiomatic/operational agreement, and the central
+//! round-trips, SC ⊆ TSO, solver/enumerator agreement, and the central
 //! soundness property — TSO-forbidden targets never fire on the TSO
 //! substrate. Runs on the in-repo [`perple_repro::prop`] harness.
 
@@ -111,13 +111,19 @@ fn sc_outcomes_are_a_subset_of_tso() {
 }
 
 #[test]
-fn axiomatic_sc_agrees_with_operational_sc() {
+fn solver_agrees_with_the_enumerator_under_every_model() {
     run_cases(48, |g| {
         let test = next_test(g);
-        let reachable = enumerate(&test, ModelId::Sc).register_outcomes();
-        for outcome in test.possible_outcomes() {
-            if let Ok(axiomatic) = perple_model::hb::is_sc_consistent(&test, &outcome) {
-                assert_eq!(axiomatic, reachable.contains(&outcome), "outcome {outcome}");
+        for model in ModelId::ALL {
+            let reachable = enumerate(&test, model).register_outcomes();
+            for outcome in test.possible_outcomes() {
+                if let Ok(allowed) = perple::solve::feasible(&test, &outcome, model) {
+                    assert_eq!(
+                        allowed,
+                        reachable.contains(&outcome),
+                        "outcome {outcome} under {model}"
+                    );
+                }
             }
         }
     });

@@ -1,89 +1,82 @@
 //! Solver ↔ enumerator equivalence: the constraint-based feasibility
-//! engine (`perple-solve`) must agree bit-for-bit with the axiomatic
-//! enumerator oracle on every (test, outcome, model) query — over the
-//! whole hand-written corpus and a large generated corpus — while its
-//! evidence stays machine-checkable (witnesses replay, cores are
-//! non-empty) and its verdicts stay monotone along the model lattice.
+//! engine (`perple-solve`) must agree bit-for-bit with the operational
+//! enumerator (`perple-enumerate`) on every decided (test, outcome, model)
+//! query — every `possible_outcomes()` row of the whole hand-written
+//! corpus and of a large generated corpus — while its evidence stays
+//! machine-checkable (witnesses replay, cores are non-empty) and its
+//! verdicts stay monotone along the model lattice.
 //! A wall-clock race against the operational enumerator on the
 //! 3-thread corpus tests pins the asymptotic win the solver exists for.
 //! The per-model verdict campaigns, `perple run` and `perple audit` read
 //! (`forbidden_under`) is checked against the four-model operational
-//! classification it replaces.
+//! classification it replaces, and the SC characterization of the suite's
+//! targets and of generated critical cycles is checked on solver verdicts.
 
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 use perple::campaign::CampaignSpec;
 use perple::experiments::campaign::expand_tests;
 use perple::{classify, enumerate, forbidden_under, solver_forbidden};
-use perple_enumerate::axiomatic::allows;
-use perple_model::generate::generate_corpus;
+use perple_model::generate::{from_cycle, generate_corpus, CycleEdge, Dir};
 use perple_model::suite;
 use perple_model::{LitmusTest, ModelId, Outcome};
 use perple_solve as solve;
 use solve::Verdict;
 
-/// Checks one (test, outcome, model) query: solver verdict equals the
-/// oracle bit (or both abstain identically), witnesses replay, cores are
-/// non-empty. Returns the solver's answer when both engines decided.
-fn check_query(test: &LitmusTest, outcome: &Outcome, model: ModelId) -> Option<bool> {
-    let oracle = allows(test, outcome, model);
-    let verdict = solve::solve(test, outcome, model);
-    match (oracle, verdict) {
-        (Ok(expect), Ok(v)) => {
-            assert_eq!(
-                v.is_allowed(),
-                expect,
-                "{} under {model}: solver={} oracle={expect} for {outcome:?}",
-                test.name(),
-                v.is_allowed(),
-            );
-            match v {
-                Verdict::Allowed(w) => {
-                    solve::verify_witness(test, outcome, model, &w).unwrap_or_else(|e| {
-                        panic!("{} under {model}: witness replay failed: {e}", test.name())
-                    });
-                    Some(true)
-                }
-                Verdict::Forbidden(core) => {
-                    assert!(
-                        !core.edges.is_empty(),
-                        "{} under {model}: forbidden with an empty core",
-                        test.name()
-                    );
-                    Some(false)
-                }
-            }
+/// Checks one (test, outcome, model) query against the enumerator's
+/// reachable set for that model: the solver's verdict equals membership,
+/// witnesses replay, cores are non-empty. Returns the solver's answer, or
+/// `None` when it abstains.
+fn check_query(
+    test: &LitmusTest,
+    outcome: &Outcome,
+    model: ModelId,
+    reachable: &BTreeSet<Outcome>,
+) -> Option<bool> {
+    let v = solve::solve(test, outcome, model).ok()?;
+    assert_eq!(
+        v.is_allowed(),
+        reachable.contains(outcome),
+        "{} under {model}: solver={} enumerator={} for {outcome:?}",
+        test.name(),
+        v.is_allowed(),
+        reachable.contains(outcome),
+    );
+    match v {
+        Verdict::Allowed(w) => {
+            solve::verify_witness(test, outcome, model, &w).unwrap_or_else(|e| {
+                panic!("{} under {model}: witness replay failed: {e}", test.name())
+            });
+            Some(true)
         }
-        (Err(oe), Err(se)) => {
-            // Both abstain, and for the same reason (the Display texts
-            // are written to match term for term).
-            assert_eq!(
-                se.to_string(),
-                oe.to_string(),
-                "{}: solver and oracle abstain differently",
+        Verdict::Forbidden(core) => {
+            assert!(
+                !core.edges.is_empty(),
+                "{} under {model}: forbidden with an empty core",
                 test.name()
             );
-            None
+            Some(false)
         }
-        (oracle, verdict) => panic!(
-            "{} under {model}: oracle {oracle:?} but solver {verdict:?} — one engine \
-             abstained where the other decided",
-            test.name()
-        ),
     }
 }
 
-/// Runs the full differential over a set of tests and returns
+/// Runs the full differential over a set of tests — one enumeration per
+/// test and model, then every outcome row — and returns
 /// (queries decided, abstentions) for a sanity floor.
 fn differential(tests: &[LitmusTest]) -> (usize, usize) {
     let (mut decided, mut abstained) = (0usize, 0usize);
     for test in tests {
-        for outcome in test.outcomes_matching_condition() {
+        let reachable: Vec<BTreeSet<Outcome>> = ModelId::ALL
+            .iter()
+            .map(|&m| enumerate(test, m).register_outcomes())
+            .collect();
+        for outcome in test.possible_outcomes() {
             // Verdicts must be monotone along the lattice: anything SC
             // allows, every weaker model allows too.
             let mut prev_allowed = false;
-            for model in ModelId::ALL {
-                match check_query(test, &outcome, model) {
+            for (model, reach) in ModelId::ALL.into_iter().zip(&reachable) {
+                match check_query(test, &outcome, model, reach) {
                     Some(a) => {
                         assert!(
                             !prev_allowed || a,
@@ -108,10 +101,10 @@ fn solver_matches_oracle_on_the_full_corpus() {
     assert_eq!(tests.len(), 88, "corpus size drifted");
     let (decided, abstained) = differential(&tests);
     // Every decided query was bit-compared above; make sure the corpus
-    // actually exercises the solver (memory-inspecting conditions are
-    // the only legitimate abstention source and they are a minority).
+    // actually exercises the solver. Its floor and the generated corpus's
+    // below sum to 27,000 decided queries (3064 + 23,948 today).
     assert!(
-        decided >= 300,
+        decided >= 3_060,
         "only {decided} decided queries over the corpus"
     );
     assert!(
@@ -124,8 +117,8 @@ fn solver_matches_oracle_on_the_full_corpus() {
 fn solver_matches_oracle_on_the_generated_corpus() {
     // The standing generated corpus: critical cycles up to length 6 on
     // up to 4 threads, fence-augmented variants included. Well past the
-    // 500-test floor; every matching outcome row is differentially
-    // checked under all four models.
+    // 500-test floor; every outcome row is differentially checked under
+    // all four models.
     let tests = generate_corpus(6, 4);
     assert!(
         tests.len() >= 500,
@@ -134,7 +127,7 @@ fn solver_matches_oracle_on_the_generated_corpus() {
     );
     let (decided, _) = differential(&tests);
     assert!(
-        decided >= 4 * tests.len() / 2,
+        decided >= 23_940,
         "generated corpus barely exercised: {decided} decided queries"
     );
 }
@@ -235,4 +228,76 @@ fn per_model_verdicts_equal_the_operational_classification() {
         abstained > 0,
         "the solver decided all {queries} queries; the fallback is untested"
     );
+}
+
+/// Asserts the solver decides every completion of `test`'s condition and
+/// forbids each one under SC.
+fn assert_sc_forbidden(test: &LitmusTest, what: &str) {
+    let completions = test.outcomes_matching_condition();
+    assert!(!completions.is_empty(), "{what}: no completion");
+    for o in completions {
+        let allowed = solve::feasible(test, &o, ModelId::Sc)
+            .unwrap_or_else(|e| panic!("{what}: solver abstains on {o}: {e}"));
+        assert!(!allowed, "{what}: completion {o} is SC-consistent");
+    }
+}
+
+#[test]
+fn allowed_targets_have_no_sc_consistent_completion() {
+    // Target outcomes are the distinguishing outcomes: they require store
+    // buffering, so no completion of the condition may be SC-consistent.
+    for t in suite::allowed_targets() {
+        assert_sc_forbidden(&t, t.name());
+    }
+}
+
+#[test]
+fn forbidden_targets_are_also_sc_forbidden() {
+    // TSO-forbidden implies SC-forbidden (SC ⊆ TSO), on every completion
+    // of the condition of every hand-written forbidden-target test.
+    for t in [
+        suite::lb(),
+        suite::mp(),
+        suite::mp_fences(),
+        suite::mp_staleld(),
+        suite::amd5(),
+        suite::amd5_staleld(),
+        suite::amd10(),
+        suite::n4(),
+        suite::n5(),
+        suite::iriw(),
+        suite::co_iriw(),
+        suite::wrc(),
+        suite::rwc_fenced(),
+        suite::safe006(),
+        suite::safe007(),
+        suite::safe012(),
+        suite::safe018(),
+        suite::safe022(),
+        suite::safe024(),
+        suite::safe027(),
+        suite::safe028(),
+        suite::safe036(),
+    ] {
+        assert_sc_forbidden(&t, t.name());
+    }
+}
+
+#[test]
+fn generated_critical_cycles_are_sc_forbidden() {
+    // The defining property of a critical cycle: no completion of the
+    // generated condition is SC-consistent.
+    use CycleEdge::*;
+    use Dir::*;
+    for cycle in [
+        vec![Pod(W, R), Fre, Pod(W, R), Fre],
+        vec![Pod(R, W), Rfe, Pod(R, W), Rfe],
+        vec![Pod(W, W), Rfe, Pod(R, R), Fre],
+        vec![Rfe, Pod(R, R), Fre, Rfe, Pod(R, R), Fre],
+        vec![Pod(W, W), Rfe, Pod(R, W), Rfe, Pod(R, R), Fre],
+    ] {
+        let t = from_cycle("gen", &cycle).unwrap();
+        assert!(!t.target().inspects_memory(), "cycle {cycle:?}");
+        assert_sc_forbidden(&t, &format!("cycle {cycle:?}"));
+    }
 }
