@@ -1,25 +1,22 @@
-//! The exhaustive (`COUNT`) and heuristic (`COUNTH`) outcome counters —
-//! serial reference implementations plus frame-sharded parallel variants
-//! that are bit-identical to them (see `tests/parallel_equivalence.rs`).
+//! The exhaustive (`COUNT`) and heuristic (`COUNTH`) outcome counters.
 //!
 //! # The unified counting API
 //!
 //! All counting goes through one entry point: a [`Counter`] implementation
 //! ([`ExhaustiveCounter`] or [`HeuristicCounter`]) owns the outcomes of
 //! interest, and a [`CountRequest`] carries the run buffers plus the
-//! execution policy (frame cap, watchdog budget, worker count).
+//! execution policy (frame cap, watchdog budget).
 //! [`Counter::count`] is the pipeline's single choke point: it opens the
 //! `count` observability span and feeds the metrics registry (frames
 //! examined, budget expiries, partner-derivation hits/misses), so
 //! instrumentation lives here once instead of in every variant.
 //!
-//! Dispatch is deterministic — which scan runs is a pure function of the
-//! request, never a heuristic:
-//! a request **with** a budget runs the serial budgeted scan (budgeted
-//! truncation is a prefix property of the serial odometer order); a
-//! request **without** one runs the frame-sharded scan over
-//! `CountRequest::workers` threads (bit-identical to serial at every
-//! worker count).
+//! Every counter is one serial scan on the calling thread: the exhaustive
+//! counter walks the frame odometer, the heuristic counter walks the
+//! pivots. Concurrency lives one level up, in the suite/campaign worker
+//! pool, which runs whole per-test pipelines concurrently. A frame cap or
+//! an expired budget therefore always truncates the scan to a prefix of
+//! the untruncated scan's visiting order.
 
 use std::time::{Duration, Instant};
 
@@ -74,15 +71,6 @@ impl CounterKind {
 }
 
 /// Result of one counting pass.
-///
-/// **Merged (parallel) results.** The parallel counters shard the frame
-/// space into contiguous index ranges and merge per-worker results:
-/// `counts`, `frames_examined`, and `evals` are *exact sums* over workers
-/// (each frame is scanned by exactly one worker, so the sums equal the
-/// serial pass's values bit for bit), `wall` is the maximum per-worker
-/// wall time, and `truncated` is set iff the global `frame_cap` prefix was
-/// exhausted — the same condition under which the serial scan truncates.
-/// These invariants are `debug_assert`ed in the merge path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountResult {
     /// Occurrences per outcome of interest (paper's `counts` array).
@@ -110,19 +98,15 @@ pub struct CountResult {
 }
 
 impl CountResult {
-    /// Total occurrences across all outcomes of interest.
-    ///
-    /// Because parallel merges sum `counts` element-wise over workers,
-    /// this equals the sum of the workers' totals, and for else-if
-    /// counters it never exceeds [`CountResult::frames_examined`].
+    /// Total occurrences across all outcomes of interest. For else-if
+    /// (chained) counters it never exceeds [`CountResult::frames_examined`].
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 }
 
 /// One counting request: run buffers, iteration count, and execution
-/// policy. Built with combinators; the defaults (no cap, no budget, one
-/// worker) reproduce the serial reference counters.
+/// policy. Built with combinators; the defaults are no cap and no budget.
 #[derive(Debug, Clone, Copy)]
 pub struct CountRequest<'a> {
     /// One value buffer per load-performing thread of the converted test.
@@ -131,23 +115,19 @@ pub struct CountRequest<'a> {
     pub n: u64,
     /// Optional prefix cap on the exhaustive frame scan.
     pub frame_cap: Option<u64>,
-    /// Optional watchdog; a budgeted request runs the serial budgeted
-    /// scan so truncation stays a deterministic prefix.
+    /// Optional watchdog; on expiry the scan stops and reports the prefix
+    /// it covered.
     pub budget: Option<&'a Budget>,
-    /// Worker threads for the frame-sharded scan (1 = serial; ignored
-    /// while a budget is set).
-    pub workers: usize,
 }
 
 impl<'a> CountRequest<'a> {
-    /// A serial, uncapped, unbudgeted request over `bufs` and `n`.
+    /// An uncapped, unbudgeted request over `bufs` and `n`.
     pub fn new(bufs: &'a [&'a [u64]], n: u64) -> Self {
         Self {
             bufs,
             n,
             frame_cap: None,
             budget: None,
-            workers: 1,
         }
     }
 
@@ -160,12 +140,6 @@ impl<'a> CountRequest<'a> {
     /// Attaches a watchdog [`Budget`]; see [`CountRequest::budget`].
     pub fn with_budget(mut self, budget: &'a Budget) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Shards the scan over `workers` threads (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 }
@@ -222,12 +196,7 @@ impl Counter for ExhaustiveCounter<'_> {
     }
 
     fn scan(&self, req: &CountRequest<'_>) -> CountResult {
-        match req.budget {
-            Some(budget) => {
-                count_exhaustive_impl(self.outcomes, req.bufs, req.n, req.frame_cap, Some(budget))
-            }
-            None => exhaustive_sharded(self.outcomes, req.bufs, req.n, req.frame_cap, req.workers),
-        }
+        exhaustive_scan(self.outcomes, req)
     }
 }
 
@@ -273,14 +242,7 @@ impl Counter for HeuristicCounter<'_> {
     }
 
     fn scan(&self, req: &CountRequest<'_>) -> CountResult {
-        let result = match (self.chained, req.budget) {
-            (true, Some(budget)) => {
-                count_heuristic_impl(self.outcomes, req.bufs, req.n, Some(budget))
-            }
-            (chained, _) => {
-                count_heuristic_sharded(self.outcomes, req.bufs, req.n, req.workers, chained)
-            }
-        };
+        let result = heuristic_scan(self.outcomes, req, self.chained);
         // Every eval derives a partner frame from the pivot's loads and
         // tests one outcome against it: matches are derivation hits.
         let hits = result.total();
@@ -293,14 +255,17 @@ impl Counter for HeuristicCounter<'_> {
     }
 }
 
-pub(crate) fn count_exhaustive_impl(
+/// The exhaustive scan (Algorithm 1): visits frames in odometer order
+/// (the last frame position moves fastest) and stops after
+/// `min(frame_cap, N^{T_L})` frames, or at the first budget poll (one every
+/// [`EXHAUSTIVE_POLL_INTERVAL`] frames) that finds the watchdog expired.
+/// `truncated` is set iff the cap stopped the scan with frames left over.
+pub(crate) fn exhaustive_scan(
     outcomes: &[PerpetualOutcome],
-    bufs: &[&[u64]],
-    n: u64,
-    frame_cap: Option<u64>,
-    budget: Option<&Budget>,
+    req: &CountRequest<'_>,
 ) -> CountResult {
     let start = Instant::now();
+    let (bufs, n) = (req.bufs, req.n);
     let tl = bufs.len();
     let mut counts = vec![0u64; outcomes.len()];
     let mut frames: u64 = 0;
@@ -311,13 +276,11 @@ pub(crate) fn count_exhaustive_impl(
     if n > 0 && !outcomes.is_empty() {
         let mut frame = vec![0u64; tl];
         'scan: loop {
-            if let Some(cap) = frame_cap {
-                if frames >= cap {
-                    truncated = true;
-                    break 'scan;
-                }
+            if req.frame_cap.is_some_and(|cap| frames >= cap) {
+                truncated = true;
+                break 'scan;
             }
-            if let Some(b) = budget {
+            if let Some(b) = req.budget {
                 if frames.is_multiple_of(EXHAUSTIVE_POLL_INTERVAL) && b.expired() {
                     budget_expired = true;
                     break 'scan;
@@ -358,299 +321,28 @@ pub(crate) fn count_exhaustive_impl(
     }
 }
 
-fn count_heuristic_impl(
+/// The heuristic scan (Algorithm 2). Chained: one pass over the pivots,
+/// polling the budget before each one. Per-outcome: one unbudgeted pass
+/// over the pivots per outcome.
+fn heuristic_scan(
     outcomes: &[HeuristicOutcome],
-    bufs: &[&[u64]],
-    n: u64,
-    budget: Option<&Budget>,
+    req: &CountRequest<'_>,
+    chained: bool,
 ) -> CountResult {
     let start = Instant::now();
+    let (bufs, n) = (req.bufs, req.n);
     let mut counts = vec![0u64; outcomes.len()];
     let mut evals: u64 = 0;
     let mut pivots: u64 = 0;
     let mut budget_expired = false;
     let mut scratch = HeuristicScratch::default();
-    for i in 0..n {
-        if let Some(b) = budget {
-            if b.expired() {
+    if chained {
+        for i in 0..n {
+            if req.budget.is_some_and(Budget::expired) {
                 budget_expired = true;
                 break;
             }
-        }
-        pivots += 1;
-        for (o, h) in outcomes.iter().enumerate() {
-            evals += 1;
-            if h.eval(i, bufs, n, &mut scratch) {
-                counts[o] += 1;
-                break;
-            }
-        }
-    }
-    CountResult {
-        counts,
-        frames_examined: pivots,
-        evals,
-        wall: start.elapsed(),
-        truncated: false,
-        budget_expired,
-        downgraded: false,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel, frame-sharded counters.
-//
-// The exhaustive counter visits frames in odometer order: the *last* frame
-// position is the fastest-moving digit, so the sequence of frames is exactly
-// the base-`n` representation of a linear index `0 .. n^{T_L}`, most
-// significant digit first. That makes the frame space trivially shardable
-// into contiguous index ranges: each worker seeks its odometer to the range
-// start with `frame_at` and scans `len` frames. Every frame belongs to
-// exactly one range, frames are classified independently (the else-if chain
-// is per-frame), and the merge sums per-worker tallies — so the parallel
-// result is bit-identical to the serial one, in any worker count.
-//
-// `frame_cap` keeps its serial meaning under sharding: the cap selects the
-// *prefix* `0 .. cap` of the index space, and only that prefix is
-// partitioned. A truncated parallel scan therefore examines exactly the
-// frames the truncated serial scan examines.
-//
-// Workers run on `std::thread::scope` (stable scoped threads; the crossbeam
-// dependency is unavailable in the offline build environment and std's
-// scope provides the same borrows-from-the-stack spawning).
-// ---------------------------------------------------------------------------
-
-/// Default worker count: the machine's available parallelism.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Number of frames the exhaustive counter would examine for `n`
-/// iterations and `tl` load threads, saturating at `u64::MAX`.
-///
-/// `n^0 = 1`: a test with no load-performing threads still has the single
-/// empty frame.
-pub fn frame_space(n: u64, tl: usize) -> u64 {
-    let mut total: u128 = 1;
-    for _ in 0..tl {
-        total = total.saturating_mul(n as u128);
-        if total > u64::MAX as u128 {
-            return u64::MAX;
-        }
-    }
-    total as u64
-}
-
-/// The frame tuple at linear `index` of the odometer order: the base-`n`
-/// digits of `index`, most significant first (`frame[tl - 1]` is the
-/// fastest-moving position, exactly as the serial odometer increments).
-///
-/// # Panics
-///
-/// Panics if `index` lies outside the frame space (`index >= n^tl`).
-pub fn frame_at(index: u64, n: u64, tl: usize) -> Vec<u64> {
-    assert!(
-        index < frame_space(n, tl),
-        "frame index {index} outside the {tl}-digit base-{n} frame space"
-    );
-    let mut frame = vec![0u64; tl];
-    let mut rest = index;
-    for pos in (0..tl).rev() {
-        frame[pos] = rest % n;
-        rest /= n;
-    }
-    frame
-}
-
-/// The linear odometer index of a frame tuple — the inverse of
-/// [`frame_at`].
-///
-/// # Panics
-///
-/// Panics if any digit is `>= n` or the index overflows `u64`.
-pub fn frame_index(frame: &[u64], n: u64) -> u64 {
-    let mut index: u64 = 0;
-    for &digit in frame {
-        assert!(digit < n, "frame digit {digit} >= base {n}");
-        index = index
-            .checked_mul(n)
-            .and_then(|i| i.checked_add(digit))
-            .expect("frame index overflows u64");
-    }
-    index
-}
-
-/// Scans the contiguous index range `start .. start + len` of the frame
-/// space, returning `(counts, evals)`. This is one worker's share of the
-/// exhaustive scan; it reproduces the serial loop body exactly (else-if
-/// chain, eval accounting) starting from a mid-space odometer seek.
-fn scan_frame_range(
-    outcomes: &[PerpetualOutcome],
-    bufs: &[&[u64]],
-    n: u64,
-    start: u64,
-    len: u64,
-) -> (Vec<u64>, u64) {
-    let tl = bufs.len();
-    let mut counts = vec![0u64; outcomes.len()];
-    let mut evals: u64 = 0;
-    if len == 0 {
-        return (counts, evals);
-    }
-    let mut frame = frame_at(start, n, tl);
-    for step in 0..len {
-        for (o, outcome) in outcomes.iter().enumerate() {
-            evals += 1;
-            if outcome.eval_frame(&frame, bufs, n) {
-                counts[o] += 1;
-                break; // else-if: at most one outcome per frame
-            }
-        }
-        if step + 1 == len {
-            break;
-        }
-        // Odometer over the frame tuple (fastest digit last).
-        let mut pos = tl;
-        loop {
-            debug_assert!(pos > 0, "odometer wrapped before the range end");
-            pos -= 1;
-            frame[pos] += 1;
-            if frame[pos] < n {
-                break;
-            }
-            frame[pos] = 0;
-        }
-    }
-    (counts, evals)
-}
-
-/// Splits `0 .. total` into at most `workers` contiguous ranges of
-/// near-equal length (first `total % workers` ranges one longer).
-pub(crate) fn partition(total: u64, workers: usize) -> Vec<(u64, u64)> {
-    let workers = (workers.max(1) as u64).min(total.max(1));
-    let base = total / workers;
-    let extra = total % workers;
-    let mut ranges = Vec::with_capacity(workers as usize);
-    let mut start = 0u64;
-    for w in 0..workers {
-        let len = base + u64::from(w < extra);
-        ranges.push((start, len));
-        start += len;
-    }
-    ranges
-}
-
-/// Merges per-worker `(counts, evals, wall)` partials into one
-/// [`CountResult`], asserting the merge invariants in debug builds.
-fn merge_partials(
-    partials: Vec<(Vec<u64>, u64, Duration)>,
-    n_outcomes: usize,
-    frames_examined: u64,
-    truncated: bool,
-) -> CountResult {
-    let mut counts = vec![0u64; n_outcomes];
-    let mut evals: u64 = 0;
-    let mut wall = Duration::ZERO;
-    for (c, e, w) in partials {
-        debug_assert_eq!(c.len(), n_outcomes, "worker count vector length");
-        for (sum, v) in counts.iter_mut().zip(&c) {
-            *sum += v;
-        }
-        evals += e; // exact sum over workers — no frame is scanned twice
-        wall = wall.max(w);
-    }
-    debug_assert!(
-        counts.iter().sum::<u64>() <= frames_examined,
-        "else-if chain counted more than one outcome for some frame"
-    );
-    CountResult {
-        counts,
-        frames_examined,
-        evals,
-        wall,
-        truncated,
-        budget_expired: false,
-        downgraded: false,
-    }
-}
-
-/// Frame-sharded exhaustive scan (the unbudgeted [`ExhaustiveCounter`]
-/// path): partitions the `N^{T_L}` frame space (or its `frame_cap`
-/// prefix) into `workers` contiguous index ranges and scans them on
-/// scoped threads. Bit-identical to the serial counter at every worker
-/// count.
-pub(crate) fn exhaustive_sharded(
-    outcomes: &[PerpetualOutcome],
-    bufs: &[&[u64]],
-    n: u64,
-    frame_cap: Option<u64>,
-    workers: usize,
-) -> CountResult {
-    if n == 0 || outcomes.is_empty() {
-        // The serial counter skips the scan entirely (and never reports
-        // truncation) for degenerate inputs; match it exactly.
-        return count_exhaustive_impl(outcomes, bufs, n, frame_cap, None);
-    }
-    let tl = bufs.len();
-    let total = frame_space(n, tl);
-    let effective = frame_cap.map_or(total, |cap| cap.min(total));
-    // The serial scan truncates iff it hits the cap with frames left over.
-    let truncated = frame_cap.is_some_and(|cap| cap < total);
-
-    let ranges = partition(effective, workers);
-    // Each worker beyond the first seeks its odometer straight to its
-    // range start instead of iterating there: `start` frames skipped.
-    obs_metrics::add(
-        Metric::CountFramesSkippedSeek,
-        ranges.iter().map(|&(start, _)| start).sum(),
-    );
-    let partials: Vec<(Vec<u64>, u64, Duration)> = if ranges.len() <= 1 {
-        let start = Instant::now();
-        let (counts, evals) = scan_frame_range(outcomes, bufs, n, 0, effective);
-        vec![(counts, evals, start.elapsed())]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(start, len)| {
-                    scope.spawn(move || {
-                        let t0 = Instant::now();
-                        let (counts, evals) = scan_frame_range(outcomes, bufs, n, start, len);
-                        (counts, evals, t0.elapsed())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Invariant assertion, not error handling: the scan
-                // closures are pure reads over shared slices and cannot
-                // panic; a join failure is a harness bug worth crashing on.
-                .map(|h| h.join().expect("counter worker panicked"))
-                .collect()
-        })
-    };
-    debug_assert_eq!(
-        ranges.iter().map(|&(_, len)| len).sum::<u64>(),
-        effective,
-        "partition must cover the frame-cap prefix exactly once"
-    );
-    merge_partials(partials, outcomes.len(), effective, truncated)
-}
-
-/// Scans the pivot range `start .. start + len` of the heuristic counter.
-fn scan_pivot_range(
-    outcomes: &[HeuristicOutcome],
-    bufs: &[&[u64]],
-    n: u64,
-    start: u64,
-    len: u64,
-    chained: bool,
-) -> (Vec<u64>, u64) {
-    let mut counts = vec![0u64; outcomes.len()];
-    let mut evals: u64 = 0;
-    let mut scratch = HeuristicScratch::default();
-    if chained {
-        for i in start..start + len {
+            pivots += 1;
             for (o, h) in outcomes.iter().enumerate() {
                 evals += 1;
                 if h.eval(i, bufs, n, &mut scratch) {
@@ -661,58 +353,24 @@ fn scan_pivot_range(
         }
     } else {
         for (o, h) in outcomes.iter().enumerate() {
-            for i in start..start + len {
+            for i in 0..n {
                 evals += 1;
                 if h.eval(i, bufs, n, &mut scratch) {
                     counts[o] += 1;
                 }
             }
         }
+        pivots = n * outcomes.len() as u64;
     }
-    (counts, evals)
-}
-
-/// Shared driver of the two pivot-sharded heuristic counters.
-fn count_heuristic_sharded(
-    outcomes: &[HeuristicOutcome],
-    bufs: &[&[u64]],
-    n: u64,
-    workers: usize,
-    chained: bool,
-) -> CountResult {
-    let frames_examined = if chained {
-        n
-    } else {
-        n * outcomes.len() as u64
-    };
-    let ranges = partition(n, workers);
-    let partials: Vec<(Vec<u64>, u64, Duration)> = if ranges.len() <= 1 {
-        let t0 = Instant::now();
-        let (counts, evals) = scan_pivot_range(outcomes, bufs, n, 0, n, chained);
-        vec![(counts, evals, t0.elapsed())]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(start, len)| {
-                    scope.spawn(move || {
-                        let t0 = Instant::now();
-                        let (counts, evals) =
-                            scan_pivot_range(outcomes, bufs, n, start, len, chained);
-                        (counts, evals, t0.elapsed())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Invariant assertion, not error handling: the scan
-                // closures are pure reads over shared slices and cannot
-                // panic; a join failure is a harness bug worth crashing on.
-                .map(|h| h.join().expect("counter worker panicked"))
-                .collect()
-        })
-    };
-    merge_partials(partials, outcomes.len(), frames_examined, false)
+    CountResult {
+        counts,
+        frames_examined: pivots,
+        evals,
+        wall: start.elapsed(),
+        truncated: false,
+        budget_expired,
+        downgraded: false,
+    }
 }
 
 #[cfg(test)]
@@ -758,20 +416,6 @@ mod tests {
         )
     }
 
-    fn count_exhaustive_parallel(
-        outcomes: &[PerpetualOutcome],
-        bufs: &[&[u64]],
-        n: u64,
-        cap: Option<u64>,
-        workers: usize,
-    ) -> CountResult {
-        ExhaustiveCounter::new(outcomes).count(
-            &CountRequest::new(bufs, n)
-                .with_frame_cap(cap)
-                .with_workers(workers),
-        )
-    }
-
     fn count_heuristic(outcomes: &[HeuristicOutcome], bufs: &[&[u64]], n: u64) -> CountResult {
         HeuristicCounter::new(outcomes).count(&CountRequest::new(bufs, n))
     }
@@ -787,24 +431,6 @@ mod tests {
 
     fn count_heuristic_each(outcomes: &[HeuristicOutcome], bufs: &[&[u64]], n: u64) -> CountResult {
         HeuristicCounter::each(outcomes).count(&CountRequest::new(bufs, n))
-    }
-
-    fn count_heuristic_parallel(
-        outcomes: &[HeuristicOutcome],
-        bufs: &[&[u64]],
-        n: u64,
-        workers: usize,
-    ) -> CountResult {
-        HeuristicCounter::new(outcomes).count(&CountRequest::new(bufs, n).with_workers(workers))
-    }
-
-    fn count_heuristic_each_parallel(
-        outcomes: &[HeuristicOutcome],
-        bufs: &[&[u64]],
-        n: u64,
-        workers: usize,
-    ) -> CountResult {
-        HeuristicCounter::each(outcomes).count(&CountRequest::new(bufs, n).with_workers(workers))
     }
 
     /// Lockstep buffers: iteration n of each thread read the other's store
@@ -950,117 +576,42 @@ mod tests {
         assert_eq!(r2.frames_examined, 0);
         let rh = count_heuristic(&[], &bufs, 0);
         assert_eq!(rh.total(), 0);
+        // Degenerate scans never truncate, not even under a zero cap.
+        let capped = count_exhaustive(
+            std::slice::from_ref(&f.conv.target_exhaustive),
+            &bufs,
+            0,
+            Some(0),
+        );
+        assert!(!capped.truncated);
+        assert_eq!(capped.frames_examined, 0);
     }
 
     #[test]
-    fn frame_seek_round_trips_against_the_odometer() {
-        let n = 5u64;
-        let tl = 3usize;
-        // Walk the serial odometer and check frame_at/frame_index agree at
-        // every step.
-        let mut frame = vec![0u64; tl];
-        for index in 0..frame_space(n, tl) {
-            assert_eq!(frame_at(index, n, tl), frame, "seek at index {index}");
-            assert_eq!(frame_index(&frame, n), index);
-            let mut pos = tl;
-            loop {
-                if pos == 0 {
-                    break;
-                }
-                pos -= 1;
-                frame[pos] += 1;
-                if frame[pos] < n {
-                    break;
-                }
-                frame[pos] = 0;
-            }
-        }
-    }
-
-    #[test]
-    fn frame_space_handles_degenerate_and_huge_inputs() {
-        assert_eq!(frame_space(10, 0), 1);
-        assert_eq!(frame_space(10, 2), 100);
-        assert_eq!(frame_space(0, 2), 0);
-        assert_eq!(frame_space(u64::MAX, 3), u64::MAX, "saturates");
-    }
-
-    #[test]
-    fn partition_covers_the_space_exactly_once() {
-        for (total, workers) in [(10u64, 3usize), (7, 7), (3, 8), (0, 4), (100, 1)] {
-            let ranges = partition(total, workers);
-            assert!(ranges.len() <= workers.max(1));
-            let mut next = 0u64;
-            for (start, len) in &ranges {
-                assert_eq!(*start, next, "ranges must be contiguous");
-                next += len;
-            }
-            assert_eq!(next, total, "ranges must cover 0..total");
-        }
-    }
-
-    #[test]
-    fn parallel_exhaustive_matches_serial_bit_for_bit() {
+    fn frame_cap_selects_a_prefix_and_truncates_iff_frames_are_left() {
+        // sb at N = 300 has 90 000 frames: a cap below that truncates, a
+        // cap at or above it scans the whole space.
         let f = sb_fixture();
-        let outcomes: Vec<PerpetualOutcome> = f.all.iter().map(|(o, _)| o.clone()).collect();
-        let n = 40u64;
+        let outcomes = std::slice::from_ref(&f.conv.target_exhaustive);
+        let n = 300u64;
         let b0: Vec<u64> = (0..n).map(|i| (i * 7 + 3) % (n + 1)).collect();
         let b1: Vec<u64> = (0..n).map(|i| (i * 11) % (n + 1)).collect();
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        for cap in [None, Some(500), Some(0)] {
-            let serial = count_exhaustive(&outcomes, &bufs, n, cap);
-            for workers in [1usize, 2, 3, 7, 64] {
-                let par = count_exhaustive_parallel(&outcomes, &bufs, n, cap, workers);
-                assert_eq!(par.counts, serial.counts, "cap {cap:?} workers {workers}");
-                assert_eq!(par.frames_examined, serial.frames_examined);
-                assert_eq!(par.evals, serial.evals);
-                assert_eq!(par.truncated, serial.truncated);
+        let full = count_exhaustive(outcomes, &bufs, n, None);
+        assert_eq!(full.frames_examined, 90_000);
+        for cap in [0u64, 1, 89_999, 90_000, 90_001] {
+            let r = count_exhaustive(outcomes, &bufs, n, Some(cap));
+            assert_eq!(r.truncated, cap < 90_000, "cap {cap}");
+            assert_eq!(r.frames_examined, cap.min(90_000), "cap {cap}");
+            assert_eq!(
+                r.evals, r.frames_examined,
+                "one outcome: one eval per frame"
+            );
+            assert!(r.counts[0] <= full.counts[0], "cap {cap}");
+            if cap >= 90_000 {
+                assert_eq!(r.counts, full.counts, "cap {cap}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_heuristic_counters_match_serial() {
-        let f = sb_fixture();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
-        let (b0, b1) = lockstep_bufs(37);
-        let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let serial = count_heuristic(&heu, &bufs, 37);
-        let serial_each = count_heuristic_each(&heu, &bufs, 37);
-        for workers in [1usize, 2, 3, 7] {
-            let par = count_heuristic_parallel(&heu, &bufs, 37, workers);
-            assert_eq!(par.counts, serial.counts, "workers {workers}");
-            assert_eq!(par.evals, serial.evals);
-            assert_eq!(par.frames_examined, serial.frames_examined);
-            let each = count_heuristic_each_parallel(&heu, &bufs, 37, workers);
-            assert_eq!(each.counts, serial_each.counts, "workers {workers}");
-            assert_eq!(each.evals, serial_each.evals);
-            assert_eq!(each.frames_examined, serial_each.frames_examined);
-        }
-    }
-
-    #[test]
-    fn parallel_degenerate_inputs_match_serial() {
-        let f = sb_fixture();
-        let bufs: Vec<&[u64]> = vec![&[], &[]];
-        let serial = count_exhaustive(
-            std::slice::from_ref(&f.conv.target_exhaustive),
-            &bufs,
-            0,
-            Some(0),
-        );
-        let par = count_exhaustive_parallel(
-            std::slice::from_ref(&f.conv.target_exhaustive),
-            &bufs,
-            0,
-            Some(0),
-            4,
-        );
-        assert_eq!(par.counts, serial.counts);
-        assert_eq!(par.truncated, serial.truncated);
-        assert!(!par.truncated, "degenerate scans never truncate");
-        let no_outcomes = count_exhaustive_parallel(&[], &bufs, 5, None, 4);
-        assert_eq!(no_outcomes.frames_examined, 0);
     }
 
     #[test]
@@ -1150,13 +701,11 @@ mod tests {
     }
 
     #[test]
-    fn request_builder_defaults_are_serial_and_unbounded() {
+    fn request_builder_defaults_are_unbounded() {
         let bufs: Vec<&[u64]> = vec![&[], &[]];
         let req = CountRequest::new(&bufs, 0);
-        assert_eq!(req.workers, 1);
         assert!(req.frame_cap.is_none());
         assert!(req.budget.is_none());
-        assert_eq!(req.with_workers(0).workers, 1, "worker floor is 1");
     }
 
     #[test]
@@ -1169,29 +718,6 @@ mod tests {
         );
         assert_eq!(HeuristicCounter::new(&heu).name(), "heuristic");
         assert_eq!(HeuristicCounter::each(&heu).name(), "heuristic");
-    }
-
-    #[test]
-    fn budgeted_requests_dispatch_to_the_serial_scan() {
-        // A budgeted request ignores `workers` and runs the deterministic
-        // serial budgeted path: the poll-limit cutoff lands on the exact
-        // same frame regardless of the requested worker count.
-        let f = sb_fixture();
-        let exh: Vec<PerpetualOutcome> = f.all.iter().map(|(o, _)| o.clone()).collect();
-        let n = 64u64;
-        let b0: Vec<u64> = (0..n).map(|i| (i * 5 + 2) % (n + 1)).collect();
-        let b1: Vec<u64> = (0..n).map(|i| (i * 3) % (n + 1)).collect();
-        let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        for workers in [1usize, 4] {
-            let budget = Budget::with_poll_limit(1);
-            let r = ExhaustiveCounter::new(&exh).count(
-                &CountRequest::new(&bufs, n)
-                    .with_budget(&budget)
-                    .with_workers(workers),
-            );
-            assert!(r.budget_expired);
-            assert_eq!(r.frames_examined, EXHAUSTIVE_POLL_INTERVAL);
-        }
     }
 
     #[test]

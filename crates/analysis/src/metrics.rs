@@ -8,7 +8,7 @@
 //! harness), while PerpLE pays the counter scan.
 
 /// Wall-clock timings of one test's pipeline stages (convert → run →
-/// count), recorded by the experiment drivers so counter parallelization
+/// count), recorded by the experiment drivers so the cost of each stage
 /// is observable in experiment output.
 ///
 /// Serialized with the hand-rolled [`StageTimings::to_json`] (the external
@@ -19,11 +19,8 @@ pub struct StageTimings {
     pub convert: std::time::Duration,
     /// Wall time of the harness run (simulated execution).
     pub run: std::time::Duration,
-    /// Wall time of outcome counting (max per-worker scan time when the
-    /// parallel counters are used).
+    /// Wall time of outcome counting.
     pub count: std::time::Duration,
-    /// Worker threads the counting stage used (1 = serial).
-    pub count_workers: usize,
 }
 
 impl StageTimings {
@@ -49,14 +46,11 @@ impl StageTimings {
         self.count += wall;
     }
 
-    /// Folds another timing record into this one: stage walls add, and
-    /// `count_workers` keeps the maximum (a suite summary reports the
-    /// widest counting configuration any row used).
+    /// Folds another timing record into this one: stage walls add.
     pub fn accumulate(&mut self, other: &StageTimings) {
         self.convert += other.convert;
         self.run += other.run;
         self.count += other.count;
-        self.count_workers = self.count_workers.max(other.count_workers);
     }
 
     /// The timings as a [`crate::jsonout::Json`] object (micro-second
@@ -67,12 +61,11 @@ impl StageTimings {
             ("convert_us", Json::from(self.convert.as_micros())),
             ("run_us", Json::from(self.run.as_micros())),
             ("count_us", Json::from(self.count.as_micros())),
-            ("count_workers", Json::from(self.count_workers)),
         ])
     }
 
     /// Compact JSON object rendering, e.g.
-    /// `{"convert_us":12,"run_us":3400,"count_us":170,"count_workers":8}`,
+    /// `{"convert_us":12,"run_us":3400,"count_us":170}`,
     /// emitted through the shared [`crate::jsonout`] writer.
     pub fn to_json(&self) -> String {
         self.to_json_value().render()
@@ -157,12 +150,11 @@ mod tests {
             convert: Duration::from_micros(12),
             run: Duration::from_micros(3_400),
             count: Duration::from_micros(170),
-            count_workers: 8,
         };
         assert_eq!(t.total(), Duration::from_micros(3_582));
         assert_eq!(
             t.to_json(),
-            "{\"convert_us\":12,\"run_us\":3400,\"count_us\":170,\"count_workers\":8}"
+            "{\"convert_us\":12,\"run_us\":3400,\"count_us\":170}"
         );
         assert_eq!(StageTimings::default().total(), Duration::ZERO);
     }
@@ -182,27 +174,24 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_sums_stages_and_keeps_widest_worker_count() {
+    fn accumulate_sums_stages() {
         use std::time::Duration;
         let mut total = StageTimings::default();
         let a = StageTimings {
             convert: Duration::from_micros(1),
             run: Duration::from_micros(10),
             count: Duration::from_micros(100),
-            count_workers: 4,
         };
         let b = StageTimings {
             convert: Duration::from_micros(2),
             run: Duration::from_micros(20),
             count: Duration::from_micros(200),
-            count_workers: 1,
         };
         total.accumulate(&a);
         total.accumulate(&b);
         assert_eq!(total.convert, Duration::from_micros(3));
         assert_eq!(total.run, Duration::from_micros(30));
         assert_eq!(total.count, Duration::from_micros(300));
-        assert_eq!(total.count_workers, 4);
     }
 
     #[test]

@@ -73,16 +73,15 @@
 //!
 //! The differential suite (`tests/counter_equivalence.rs`) proves the
 //! `counts` vector bit-identical to [`ExhaustiveCounter`] — per outcome,
-//! not just in total — at every worker count. Three deliberate
-//! differences in the *policy* fields:
+//! not just in total. Three deliberate differences in the *policy*
+//! fields:
 //!
 //! * `frames_examined`/`evals` report the work the rf counter actually
 //!   did, one unit per position of each sweep plus one per `(x, y)` pair
 //!   a cycle sweep visits (singleton `N`, pair `2N`, path `4N`, cycle `N`
 //!   plus the visited pairs), not `N^{T_L}` — that asymmetry *is* the
-//!   speedup the benches measure. It is deterministic and independent of
-//!   the worker count: the polynomial path runs serially, and
-//!   `with_workers` only shards the fallback scan. The worst-case bound
+//!   speedup the benches measure. It is deterministic: both the
+//!   polynomial path and the fallback scan run serially. The worst-case bound
 //!   per component is `N + N^2` (a cycle visiting every pair), which an
 //!   admission check can compute before counting.
 //! * `frame_cap` is ignored on the polynomial path: the cap exists as a
@@ -113,7 +112,7 @@ use perple_convert::{fr_lower_bound, IdxRef, KMap, PerpCond, PerpetualOutcome};
 use perple_obs::metrics::{self as obs_metrics, Metric};
 use perple_sim::Budget;
 
-use crate::count::{count_exhaustive_impl, exhaustive_sharded, CountRequest, CountResult, Counter};
+use crate::count::{exhaustive_scan, CountRequest, CountResult, Counter};
 
 /// Iterations admitted per watchdog poll while sizing the budgeted
 /// prefix; with a deterministic poll-limit [`Budget`] the admitted prefix
@@ -925,8 +924,7 @@ fn count_cycle(
 /// Counts one component; returns its count and the work it did (the rf
 /// analogue of "frames examined"): one unit per position of each sweep
 /// (singletons `m`, pairs one sweep per side, paths two pair sweeps) plus,
-/// for cycles, one per `(x, y)` pair visited. Deterministic, so
-/// worker-count independent.
+/// for cycles, one per `(x, y)` pair visited. Deterministic.
 fn count_component(strat: &Strategy, plan: &Plan, bufs: &[&[u64]], m: u64) -> (u64, u64) {
     let valid = |c: usize| coord_valid(&plan.unaries[c], bufs[c], m);
     match strat {
@@ -1041,22 +1039,10 @@ impl Counter for RfCounter<'_> {
         };
         let Some(compiled) = compiled else {
             // Outside the polynomial fragment (or a multi-outcome chain):
-            // run the exhaustive scan — the exact same dispatch
-            // ExhaustiveCounter uses, frame cap and budget included — and
-            // record the downgrade.
+            // run the exhaustive scan ExhaustiveCounter runs, frame cap and
+            // budget included, and record the downgrade.
             obs_metrics::add(Metric::CountRfFallbacks, 1);
-            let mut r = match req.budget {
-                Some(budget) => count_exhaustive_impl(
-                    self.outcomes,
-                    req.bufs,
-                    req.n,
-                    req.frame_cap,
-                    Some(budget),
-                ),
-                None => {
-                    exhaustive_sharded(self.outcomes, req.bufs, req.n, req.frame_cap, req.workers)
-                }
-            };
+            let mut r = exhaustive_scan(self.outcomes, req);
             r.downgraded = true;
             return r;
         };
@@ -1244,7 +1230,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_counts_do_not_change_any_field() {
+    fn target_counts_are_polynomial_and_repeatable() {
         for name in ["sb", "iriw", "podwr001"] {
             let test = suite::by_name(name).unwrap();
             let conv = Conversion::convert(&test).unwrap();
@@ -1252,14 +1238,12 @@ mod tests {
             let owned = synthetic_bufs(&conv, n, 7);
             let bufs: Vec<&[u64]> = owned.iter().map(Vec::as_slice).collect();
             let counter = RfCounter::single(&conv.target_exhaustive);
-            let serial = counter.count(&CountRequest::new(&bufs, n));
-            assert!(!serial.downgraded);
-            for w in [2usize, 3, 7, 64] {
-                let par = counter.count(&CountRequest::new(&bufs, n).with_workers(w));
-                assert_eq!(serial.counts, par.counts, "{name} workers {w}");
-                assert_eq!(serial.frames_examined, par.frames_examined);
-                assert_eq!(serial.evals, par.evals);
-            }
+            let first = counter.count(&CountRequest::new(&bufs, n));
+            assert!(!first.downgraded, "{name}");
+            let again = counter.count(&CountRequest::new(&bufs, n));
+            assert_eq!(first.counts, again.counts, "{name}");
+            assert_eq!(first.frames_examined, again.frames_examined, "{name}");
+            assert_eq!(first.evals, again.evals, "{name}");
         }
     }
 

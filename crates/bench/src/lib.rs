@@ -2,9 +2,8 @@
 //!
 //! Benchmark harness for the PerpLE reproduction: one binary per paper
 //! table/figure (`table2`, `fig9`, `fig10`, `fig11`, `fig12`, `fig13`,
-//! `overall`) plus [`micro`] benchmarks for the counters (serial and
-//! frame-sharded parallel), the simulator, conversion, and the baseline
-//! synchronization modes.
+//! `overall`) plus [`micro`] benchmarks for the counters, the simulator,
+//! conversion, and the baseline synchronization modes.
 //!
 //! Every binary accepts `--iterations N`, `--seed S`, `--workers W`,
 //! `--timeout-ms T`, `--retries R`, and `--inject PLAN` overrides, e.g.:
@@ -116,10 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn workers_flag_sets_both_pool_widths() {
+    fn workers_flag_sets_the_suite_pool_width() {
         let cfg = parse(&["--workers", "6"], 100).unwrap();
-        assert_eq!(cfg.parallelism.suite_workers, 6);
-        assert_eq!(cfg.parallelism.counter_workers, 6);
+        assert_eq!(cfg.workers, 6);
         assert!(parse(&["--workers", "0"], 100).is_err());
         assert!(parse(&["-w", "zero"], 100).is_err());
     }

@@ -38,7 +38,7 @@ pub struct CampaignSpec {
     pub seeds: Vec<u64>,
     /// Iterations per item run.
     pub iterations: u64,
-    /// Suite/counter workers (0 = machine default).
+    /// Suite-pool workers (0 = machine default).
     pub workers: usize,
     /// Retries for failed items (resilient executor).
     pub retries: u32,

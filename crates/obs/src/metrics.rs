@@ -37,9 +37,6 @@ pub enum Metric {
     SimRuns,
     /// Frames the counters actually evaluated.
     CountFramesExamined,
-    /// Frames skipped by `frame_at` seeking (parallel shards jump straight
-    /// to their range start instead of iterating the odometer).
-    CountFramesSkippedSeek,
     /// Heuristic partner-derivations that matched an outcome.
     CountPartnerHits,
     /// Heuristic partner-derivations that matched nothing.
@@ -93,7 +90,7 @@ pub enum Metric {
 }
 
 /// Number of distinct [`Metric`] variants (shard array size).
-pub const METRIC_COUNT: usize = 30;
+pub const METRIC_COUNT: usize = 29;
 
 impl Metric {
     /// Every metric, in stable declaration order.
@@ -106,7 +103,6 @@ impl Metric {
         Metric::SimFaultInjections,
         Metric::SimRuns,
         Metric::CountFramesExamined,
-        Metric::CountFramesSkippedSeek,
         Metric::CountPartnerHits,
         Metric::CountPartnerMisses,
         Metric::CountBudgetExpiries,
@@ -141,7 +137,6 @@ impl Metric {
             Metric::SimFaultInjections => "sim_fault_injections",
             Metric::SimRuns => "sim_runs",
             Metric::CountFramesExamined => "count_frames_examined",
-            Metric::CountFramesSkippedSeek => "count_frames_skipped_seek",
             Metric::CountPartnerHits => "count_partner_hits",
             Metric::CountPartnerMisses => "count_partner_misses",
             Metric::CountBudgetExpiries => "count_budget_expiries",

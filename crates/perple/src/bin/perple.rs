@@ -4,8 +4,7 @@
 //! perple classify <test-name | file.litmus>   per-model reachability table
 //! perple convert  <test-name | file.litmus>   emit perpetual asm + counters
 //! perple run      <test-name> [-n N] [--seed S] [--weak] [--model M]
-//!                 [--workers W] [--timeout-ms T] [--inject PLAN] [--counter C]
-//!                 [--trace FILE]
+//!                 [--timeout-ms T] [--inject PLAN] [--counter C] [--trace FILE]
 //! perple audit    [-n N] [--workers W] [--timeout-ms T] [--retries R]
 //!                 [--inject PLAN] [--counter C] [--model M] [--json]
 //!                                             whole-suite consistency audit
@@ -44,9 +43,12 @@
 //! `--inject` takes a machine fault plan, e.g.
 //! `drop@t0:100..200:p0.5,stuck@*:0..50:c30` (see `FaultPlan::parse`).
 //! `--counter` picks the counting backend: `heuristic` (linear, one frame
-//! per iteration), `exhaustive` (all `N^{T_L}` frames), or `rf` (exact
-//! polynomial reads-from closure — the default everywhere the exact count
-//! matters: `audit` and campaigns).
+//! per iteration), `exhaustive` (all `N^{T_L}` frames, up to the frame
+//! cap), or `rf` (exact polynomial reads-from closure — the default for
+//! `run`, `audit` and campaigns).
+//! `--workers W` sizes the suite-level worker pool, so only the
+//! subcommands that run one accept it (`audit`, `serve`); every counter is
+//! one serial scan.
 //! `--model` picks the memory model the simulated machine executes —
 //! `sc`, `tso` (default), `pso`, or `relaxed` — and the model verdicts
 //! are checked against (a target forbidden under the selected model that
@@ -91,8 +93,8 @@ fn main() -> ExitCode {
                  classify <test|file>        reachability under every model\n\
                  convert  <test|file>        emit perpetual artifacts\n\
                  run      <test> [-n N] [--seed S] [--weak] [--model M]\n\
-                 \x20                [--workers W] [--timeout-ms T] [--inject PLAN]\n\
-                 \x20                [--counter C] [--trace FILE]\n\
+                 \x20                [--timeout-ms T] [--inject PLAN] [--counter C]\n\
+                 \x20                [--trace FILE]\n\
                  audit    [-n N] [--workers W] [--timeout-ms T] [--retries R]\n\
                  \x20                [--inject PLAN] [--counter C] [--model M] [--json]\n\
                  \x20                            run the Table II suite\n\
@@ -121,7 +123,8 @@ fn main() -> ExitCode {
                  --timeout-ms T   per-stage watchdog budget (partial results flagged)\n\
                  --retries R      retry failed audit tests with perturbed seeds\n\
                  --inject PLAN    machine fault plan, e.g. drop@t0:100..200:p0.5\n\
-                 --counter C      counting backend: exhaustive, heuristic, or rf\n\
+                 --counter C      counting backend: exhaustive, heuristic, or rf (default)\n\
+                 --workers W      suite worker pool width (audit, serve)\n\
                  --model M        memory model: sc, tso (default), pso, or relaxed\n\
                  --trace FILE     write a Chrome trace_event JSON span trace"
             );
@@ -222,19 +225,19 @@ struct RunFlags {
     n: u64,
     seed: u64,
     weak: bool,
-    /// Counter worker threads (`--workers N`, default: available
-    /// parallelism). Counts are identical at every setting.
-    workers: usize,
+    /// Suite-pool width (`--workers N`); `None` keeps the default
+    /// (available parallelism). Only `audit` runs a pool, so the other
+    /// run-style subcommands reject the flag.
+    workers: Option<usize>,
     /// Per-stage watchdog budget (`--timeout-ms T`); `None` = unlimited.
     timeout_ms: Option<u64>,
     /// Retries for failed audit tests (`--retries R`).
     retries: u32,
     /// Machine fault-injection plan (`--inject PLAN`).
     inject: Option<FaultPlan>,
-    /// Counter backend (`--counter {exhaustive,heuristic,rf}`); `None`
-    /// keeps each subcommand's default (heuristic for `run`, rf for
-    /// `audit`).
-    counter: Option<CounterKind>,
+    /// Counter backend (`--counter {exhaustive,heuristic,rf}`), defaulting
+    /// to [`ExperimentConfig::default`]'s.
+    counter: CounterKind,
     /// Emit JSON instead of the text report (`--json`, audit only).
     json: bool,
     /// Memory model the simulated machine executes (`--model M`); `None`
@@ -251,18 +254,30 @@ impl RunFlags {
         let mut builder = ExperimentConfig::builder()
             .iterations(self.n)
             .seed(self.seed)
-            .workers(self.workers)
             .timeout_ms(self.timeout_ms)
             .retries(self.retries)
             .fault_plan(self.inject.clone().unwrap_or_else(FaultPlan::none))
-            .weak_machine(self.weak);
-        if let Some(counter) = self.counter {
-            builder = builder.counter(counter);
+            .weak_machine(self.weak)
+            .counter(self.counter);
+        if let Some(workers) = self.workers {
+            builder = builder.workers(workers);
         }
         if let Some(model) = self.model {
             builder = builder.model(model);
         }
         builder.build().map_err(|e| e.to_string())
+    }
+
+    /// Rejects `--workers` for a subcommand that runs no worker pool,
+    /// rather than silently ignoring it.
+    fn reject_workers(&self, cmd: &str) -> Result<(), String> {
+        match self.workers {
+            Some(_) => Err(format!(
+                "--workers is not accepted by `{cmd}`: it runs no worker pool \
+                 (use it with audit or serve)"
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -271,11 +286,11 @@ fn parse_flags(args: &[String]) -> Result<RunFlags, String> {
         n: 10_000,
         seed: 0xCAFE,
         weak: false,
-        workers: perple::default_workers(),
+        workers: None,
         timeout_ms: None,
         retries: 0,
         inject: None,
-        counter: None,
+        counter: ExperimentConfig::default().counter,
         json: false,
         model: None,
         trace: None,
@@ -298,14 +313,15 @@ fn parse_flags(args: &[String]) -> Result<RunFlags, String> {
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
             "--workers" | "-w" => {
-                flags.workers = it
+                let workers: usize = it
                     .next()
                     .ok_or("missing value for --workers")?
                     .parse()
                     .map_err(|e| format!("bad worker count: {e}"))?;
-                if flags.workers == 0 {
+                if workers == 0 {
                     return Err("--workers must be at least 1".into());
                 }
+                flags.workers = Some(workers);
             }
             "--timeout-ms" => {
                 let ms: u64 = it
@@ -331,9 +347,9 @@ fn parse_flags(args: &[String]) -> Result<RunFlags, String> {
             }
             "--counter" => {
                 let name = it.next().ok_or("missing value for --counter")?;
-                flags.counter = Some(CounterKind::parse(name).ok_or_else(|| {
+                flags.counter = CounterKind::parse(name).ok_or_else(|| {
                     format!("bad counter {name:?} (expected exhaustive, heuristic, or rf)")
-                })?);
+                })?;
             }
             "--json" => flags.json = true,
             "--weak" => flags.weak = true,
@@ -356,6 +372,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let spec = args.first().ok_or("run needs a test name or file")?;
     let test = load_test(spec)?;
     let flags = parse_flags(&args[1..])?;
+    flags.reject_workers("run")?;
     if flags.trace.is_some() {
         perple::obs::trace::start();
     }
@@ -365,15 +382,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut runner = PerpleRunner::new(cfg.sim_config(flags.seed));
     let run = runner.run_budgeted(&conv.perpetual, flags.n, &cfg.stage_budget());
     let n = run.iterations;
-    // The budgeted scan runs serially; --workers keeps the sharded scan
-    // when no watchdog is armed (counts are identical either way).
     let budget = cfg.timeout_ms.map(|_| cfg.stage_budget());
     let bufs = run.bufs();
-    let mut req = perple::CountRequest::new(&bufs, n).with_workers(flags.workers);
+    let mut req = perple::CountRequest::new(&bufs, n);
     if let Some(b) = budget.as_ref() {
         req = req.with_budget(b);
     }
-    let kind = flags.counter.unwrap_or(CounterKind::Heuristic);
+    let kind = cfg.counter;
     let count = {
         use perple::Counter as _;
         match kind {
@@ -428,14 +443,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         kind.name(),
         count.counts[0]
     );
-    if count.downgraded {
-        println!("(outcome outside the rf fragment; exhaustive fallback counted it)");
-    }
-    if count.budget_expired {
-        println!(
-            "(counting truncated by --timeout-ms: {} frames examined)",
-            count.frames_examined
-        );
+    for note in count_notes(&count) {
+        println!("{note}");
     }
     if count.counts[0] > 0 && forbidden_under(&test, cfg.model) {
         println!(
@@ -445,6 +454,30 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// The caveats `perple run` prints under its count line: an rf fallback,
+/// and any truncation (frame cap or `--timeout-ms`) that makes the count
+/// cover a prefix of the frames rather than all of them.
+fn count_notes(count: &perple::CountResult) -> Vec<String> {
+    let mut notes = Vec::new();
+    if count.downgraded {
+        notes.push("(outcome outside the rf fragment; exhaustive fallback counted it)".to_owned());
+    }
+    if count.truncated {
+        notes.push(format!(
+            "(counting truncated by the exhaustive frame cap: {} frames examined; \
+             the count is a lower bound, --counter rf counts exactly)",
+            count.frames_examined
+        ));
+    }
+    if count.budget_expired {
+        notes.push(format!(
+            "(counting truncated by --timeout-ms: {} frames examined)",
+            count.frames_examined
+        ));
+    }
+    notes
 }
 
 fn cmd_audit(args: &[String]) -> Result<(), String> {
@@ -485,6 +518,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let spec = args.first().ok_or("trace needs a test name or file")?;
     let test = load_test(spec)?;
     let flags = parse_flags(&args[1..])?;
+    flags.reject_workers("trace")?;
     let n = flags.n.min(50); // event logs of long runs are unreadable
     let conv = Conversion::convert(&test).map_err(|e| e.to_string())?;
     let specs = perple_harness::perpetual::thread_specs(&conv.perpetual, n);
@@ -503,6 +537,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 
 fn cmd_infer(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
+    flags.reject_workers("infer")?;
     let config = SimConfig::default()
         .with_seed(flags.seed)
         .with_weak_store_order(flags.weak)
@@ -512,7 +547,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         let name = r.revealing_test();
         let test = suite::by_name(name).ok_or("suite test missing")?;
         let mut engine = Perple::with_config(&test, config.clone()).map_err(|e| e.to_string())?;
-        engine.set_workers(flags.workers);
         let (_, count) = engine.run_heuristic_only(flags.n);
         observations.push((name, count.counts[0]));
     }
@@ -1455,4 +1489,38 @@ fn cmd_list() -> Result<(), String> {
         suite::non_convertible().len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn result(truncated: bool, budget_expired: bool, downgraded: bool) -> perple::CountResult {
+        perple::CountResult {
+            counts: vec![4874],
+            frames_examined: 100_000_000,
+            evals: 100_000_000,
+            wall: std::time::Duration::ZERO,
+            truncated,
+            budget_expired,
+            downgraded,
+        }
+    }
+
+    #[test]
+    fn count_notes_flag_every_caveat() {
+        assert!(count_notes(&result(false, false, false)).is_empty());
+        let capped = count_notes(&result(true, false, false));
+        assert_eq!(capped.len(), 1, "{capped:?}");
+        assert!(capped[0].contains("frame cap"), "{capped:?}");
+        assert!(
+            capped[0].contains("100000000 frames examined"),
+            "{capped:?}"
+        );
+        let all = count_notes(&result(true, true, true));
+        assert_eq!(all.len(), 3, "{all:?}");
+        assert!(all[0].contains("rf fragment"));
+        assert!(all[1].contains("frame cap"));
+        assert!(all[2].contains("--timeout-ms"));
+    }
 }

@@ -33,42 +33,38 @@ pub struct Fig9Row {
 }
 
 /// Regenerates Figure 9's data for the whole convertible suite. Suite
-/// tests run concurrently on `cfg.parallelism.suite_workers` threads; each
+/// tests run concurrently on `cfg.workers` threads; each
 /// test derives its own seed, so results match the serial run exactly.
 pub fn fig9(cfg: &ExperimentConfig) -> Vec<Fig9Row> {
     let tests = suite::convertible();
     let entries: Vec<_> = tests.iter().zip(suite::TABLE_II).collect();
-    pool::map_parallel(
-        &entries,
-        cfg.parallelism.suite_workers,
-        |_, (test, entry)| {
-            let t_convert = Instant::now();
-            // Invariant: `suite::convertible()` pre-filters by
-            // `is_convertible`, so conversion cannot fail here.
-            let conv = Conversion::convert(test).expect("suite test converts");
-            let convert_wall = t_convert.elapsed();
-            let (heur, exh, mut timings) = super::perple_detection_both_timed(test, &conv, cfg);
-            timings.add_convert(convert_wall);
-            let (perple_heuristic, perple_exhaustive) = (heur.occurrences, exh.occurrences);
-            let total_frames = (cfg.iterations as u128).pow(test.load_thread_count() as u32);
-            let exhaustive_truncated = cfg
-                .exhaustive_frame_cap
-                .is_some_and(|cap| (cap as u128) < total_frames);
-            let mut litmus7 = [0u64; 5];
-            for (i, mode) in SyncMode::ALL.iter().enumerate() {
-                litmus7[i] = baseline_detection(test, *mode, cfg).occurrences;
-            }
-            Fig9Row {
-                name: test.name().to_owned(),
-                allowed: entry.allowed,
-                perple_exhaustive,
-                exhaustive_truncated,
-                perple_heuristic,
-                litmus7,
-                timings,
-            }
-        },
-    )
+    pool::map_parallel(&entries, cfg.workers, |_, (test, entry)| {
+        let t_convert = Instant::now();
+        // Invariant: `suite::convertible()` pre-filters by
+        // `is_convertible`, so conversion cannot fail here.
+        let conv = Conversion::convert(test).expect("suite test converts");
+        let convert_wall = t_convert.elapsed();
+        let (heur, exh, mut timings) = super::perple_detection_both_timed(test, &conv, cfg);
+        timings.add_convert(convert_wall);
+        let (perple_heuristic, perple_exhaustive) = (heur.occurrences, exh.occurrences);
+        let total_frames = (cfg.iterations as u128).pow(test.load_thread_count() as u32);
+        let exhaustive_truncated = cfg
+            .exhaustive_frame_cap
+            .is_some_and(|cap| (cap as u128) < total_frames);
+        let mut litmus7 = [0u64; 5];
+        for (i, mode) in SyncMode::ALL.iter().enumerate() {
+            litmus7[i] = baseline_detection(test, *mode, cfg).occurrences;
+        }
+        Fig9Row {
+            name: test.name().to_owned(),
+            allowed: entry.allowed,
+            perple_exhaustive,
+            exhaustive_truncated,
+            perple_heuristic,
+            litmus7,
+            timings,
+        }
+    })
 }
 
 /// Renders the figure's data as a table.
@@ -118,12 +114,8 @@ pub fn render(rows: &[Fig9Row], cfg: &ExperimentConfig) -> String {
     });
     let _ = writeln!(
         s,
-        "stage wall time (sum over tests): convert {:?}, run {:?}, count {:?} ({} counter worker{})",
-        total.convert,
-        total.run,
-        total.count,
-        total.count_workers,
-        if total.count_workers == 1 { "" } else { "s" },
+        "stage wall time (sum over tests): convert {:?}, run {:?}, count {:?}",
+        total.convert, total.run, total.count,
     );
     s
 }

@@ -31,7 +31,7 @@ pub mod table2;
 use std::time::Instant;
 
 use perple_analysis::count::{
-    default_workers, CountRequest, Counter, CounterKind, ExhaustiveCounter, HeuristicCounter,
+    CountRequest, Counter, CounterKind, ExhaustiveCounter, HeuristicCounter,
 };
 use perple_analysis::metrics::{Detection, ModelTime, StageTimings};
 use perple_harness::baseline::{BaselineRunner, SyncMode};
@@ -41,50 +41,6 @@ use perple_sim::{Budget, FaultPlan, SimConfig};
 
 use crate::error::PerpleError;
 use crate::Conversion;
-
-/// Worker-thread budget of an experiment: how many suite tests run
-/// concurrently and how many threads each counting pass shards over.
-///
-/// Results are identical at every setting — suite tests derive their own
-/// seeds (see `derive_seed`) and the parallel counters are bit-identical to
-/// the serial ones — so parallelism only changes wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Parallelism {
-    /// Concurrent per-test experiment tasks (the suite-level pool).
-    pub suite_workers: usize,
-    /// Worker threads per counting pass (frame/pivot sharding).
-    pub counter_workers: usize,
-}
-
-impl Default for Parallelism {
-    /// Both knobs default to the machine's available parallelism.
-    fn default() -> Self {
-        let w = default_workers();
-        Self {
-            suite_workers: w,
-            counter_workers: w,
-        }
-    }
-}
-
-impl Parallelism {
-    /// Fully serial execution (the pre-parallel behaviour).
-    pub fn serial() -> Self {
-        Self {
-            suite_workers: 1,
-            counter_workers: 1,
-        }
-    }
-
-    /// `n` workers for both the suite pool and the counters.
-    pub fn workers(n: usize) -> Self {
-        let n = n.max(1);
-        Self {
-            suite_workers: n,
-            counter_workers: n,
-        }
-    }
-}
 
 /// Shared experiment parameters.
 #[derive(Debug, Clone)]
@@ -96,8 +52,10 @@ pub struct ExperimentConfig {
     /// Frame cap for the exhaustive counter (`None` scans all `N^{T_L}`
     /// frames; `T_L = 3` tests need a cap at large `N`).
     pub exhaustive_frame_cap: Option<u64>,
-    /// Suite-level and counter-level worker budget.
-    pub parallelism: Parallelism,
+    /// Width of the suite-level worker pool: how many per-test pipelines
+    /// run concurrently. Results are identical at every width (suite tests
+    /// derive their own seeds, see `derive_seed`); only wall time changes.
+    pub workers: usize,
     /// Per-stage wall-clock watchdog in milliseconds (`--timeout-ms`);
     /// `None` runs unbudgeted. Each stage (run, count) gets a fresh budget
     /// and returns a partial, flagged result when it expires.
@@ -131,7 +89,7 @@ impl Default for ExperimentConfig {
             iterations: 10_000,
             seed: 0x9E37,
             exhaustive_frame_cap: Some(100_000_000),
-            parallelism: Parallelism::default(),
+            workers: pool::default_workers(),
             timeout_ms: None,
             retries: 0,
             fault_plan: FaultPlan::none(),
@@ -152,7 +110,6 @@ impl ExperimentConfig {
     pub fn builder() -> ExperimentConfigBuilder {
         ExperimentConfigBuilder {
             cfg: ExperimentConfig::default(),
-            workers: None,
         }
     }
 
@@ -168,10 +125,10 @@ impl ExperimentConfig {
         self
     }
 
-    /// Returns the config with `n` workers for both the suite pool and
-    /// the parallel counters.
+    /// Returns the config with an `n`-wide suite pool (clamped to at
+    /// least 1).
     pub fn with_workers(mut self, n: usize) -> Self {
-        self.parallelism = Parallelism::workers(n);
+        self.workers = n.max(1);
         self
     }
 
@@ -239,9 +196,6 @@ impl ExperimentConfig {
 #[derive(Debug, Clone)]
 pub struct ExperimentConfigBuilder {
     cfg: ExperimentConfig,
-    /// Staged raw worker count; validated (nonzero) before it becomes a
-    /// [`Parallelism`], which would otherwise silently clamp.
-    workers: Option<usize>,
 }
 
 impl ExperimentConfigBuilder {
@@ -264,10 +218,9 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Worker threads for both the suite pool and the parallel counters
-    /// (must be at least 1).
+    /// Width of the suite-level worker pool (must be at least 1).
     pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
+        self.cfg.workers = n;
         self
     }
 
@@ -312,7 +265,7 @@ impl ExperimentConfigBuilder {
     ///
     /// # Errors
     /// [`PerpleError::Config`] naming the first invalid field.
-    pub fn build(mut self) -> Result<ExperimentConfig, PerpleError> {
+    pub fn build(self) -> Result<ExperimentConfig, PerpleError> {
         if self.cfg.iterations == 0 {
             return Err(PerpleError::Config("iterations must be at least 1".into()));
         }
@@ -326,11 +279,8 @@ impl ExperimentConfigBuilder {
                 "exhaustive_frame_cap must be at least 1 (use None to scan everything)".into(),
             ));
         }
-        if let Some(w) = self.workers {
-            if w == 0 {
-                return Err(PerpleError::Config("workers must be at least 1".into()));
-            }
-            self.cfg.parallelism = Parallelism::workers(w);
+        if self.cfg.workers == 0 {
+            return Err(PerpleError::Config("workers must be at least 1".into()));
         }
         Ok(self.cfg)
     }
@@ -372,7 +322,6 @@ pub fn perple_detection(
     cfg: &ExperimentConfig,
     heuristic: bool,
 ) -> Detection {
-    let workers = cfg.parallelism.counter_workers;
     let seed = derive_seed(
         cfg.seed,
         test.name(),
@@ -383,7 +332,7 @@ pub fn perple_detection(
     let n = run.iterations;
     let bufs = run.bufs();
     let budget = cfg.timeout_ms.map(|_| cfg.stage_budget());
-    let mut req = CountRequest::new(&bufs, n).with_workers(workers);
+    let mut req = CountRequest::new(&bufs, n);
     if let Some(b) = budget.as_ref() {
         req = req.with_budget(b);
     }
@@ -419,7 +368,6 @@ pub fn perple_detection_both_timed(
     conv: &Conversion,
     cfg: &ExperimentConfig,
 ) -> (Detection, Detection, StageTimings) {
-    let workers = cfg.parallelism.counter_workers;
     let seed = derive_seed(cfg.seed, test.name(), "perple");
     let mut runner = PerpleRunner::new(cfg.sim_config(seed));
     let t_run = Instant::now();
@@ -427,14 +375,11 @@ pub fn perple_detection_both_timed(
     let run_wall = t_run.elapsed();
     let n = run.iterations;
     let bufs = run.bufs();
-    let req = CountRequest::new(&bufs, n).with_workers(workers);
+    let req = CountRequest::new(&bufs, n);
     let heur = HeuristicCounter::single(&conv.target_heuristic).count(&req);
     let exh = ExhaustiveCounter::single(&conv.target_exhaustive)
         .count(&req.with_frame_cap(cfg.exhaustive_frame_cap));
-    let mut timings = StageTimings {
-        count_workers: workers.max(1),
-        ..StageTimings::default()
-    };
+    let mut timings = StageTimings::default();
     timings.add_run(run_wall);
     timings.add_count(heur.wall);
     timings.add_count(exh.wall);
@@ -519,7 +464,7 @@ mod tests {
             .unwrap();
         assert_eq!(c.iterations, 5);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.parallelism, Parallelism::workers(3));
+        assert_eq!(c.workers, 3);
         assert_eq!(c.timeout_ms, Some(250));
         assert_eq!(c.retries, 2);
         assert!(c.weak_machine);
@@ -535,7 +480,7 @@ mod tests {
         assert_eq!(built.iterations, default.iterations);
         assert_eq!(built.seed, default.seed);
         assert_eq!(built.exhaustive_frame_cap, default.exhaustive_frame_cap);
-        assert_eq!(built.parallelism, default.parallelism);
+        assert_eq!(built.workers, default.workers);
         assert_eq!(built.timeout_ms, default.timeout_ms);
         assert_eq!(built.retries, default.retries);
         assert_eq!(built.weak_machine, default.weak_machine);

@@ -48,7 +48,7 @@ struct TestImpact {
 }
 
 /// Runs the overall-impact experiment. The 88 suite tests run concurrently
-/// on `cfg.parallelism.suite_workers` threads; each test's seeds derive
+/// on `cfg.workers` threads; each test's seeds derive
 /// from its name, so the summary matches the serial run exactly.
 pub fn overall(cfg: &ExperimentConfig) -> OverallImpact {
     let allowed: Vec<&str> = suite::TABLE_II
@@ -58,7 +58,7 @@ pub fn overall(cfg: &ExperimentConfig) -> OverallImpact {
         .collect();
 
     let tests = suite::full();
-    let impacts = pool::map_parallel(&tests, cfg.parallelism.suite_workers, |_, test| {
+    let impacts = pool::map_parallel(&tests, cfg.workers, |_, test| {
         let user = baseline_detection(test, SyncMode::User, cfg);
         match Conversion::convert(test) {
             Ok(conv) => {

@@ -22,6 +22,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::{panic_message, PerpleError};
 
+/// Default pool width: the machine's available parallelism.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Applies `f` to every item on up to `workers` scoped threads, returning
 /// per-item results in input order; a panicking item yields
 /// `Err(PerpleError::WorkerPanic)` without disturbing any other item.

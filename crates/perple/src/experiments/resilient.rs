@@ -237,10 +237,8 @@ where
     R: Send,
     F: Fn(&T, u64) -> Result<R, PerpleError> + Sync,
 {
-    let outcomes = pool::try_map_parallel(
-        items,
-        cfg.parallelism.suite_workers,
-        |_, item| -> (Option<R>, ItemReport) {
+    let outcomes =
+        pool::try_map_parallel(items, cfg.workers, |_, item| -> (Option<R>, ItemReport) {
             let name = name_of(item);
             let base = derive_seed(cfg.seed, &name, tag);
             let t0 = Instant::now();
@@ -303,8 +301,7 @@ where
                     wall: t0.elapsed(),
                 },
             )
-        },
-    );
+        });
 
     let mut results = Vec::with_capacity(items.len());
     let mut reports = Vec::with_capacity(items.len());
@@ -447,10 +444,7 @@ pub fn audit_one(
         faults: run.faults,
         digest,
         timings: {
-            let mut t = StageTimings {
-                count_workers: 1,
-                ..StageTimings::default()
-            };
+            let mut t = StageTimings::default();
             t.add_convert(convert_wall);
             t.add_run(run_wall);
             t.add_count(heur.wall);

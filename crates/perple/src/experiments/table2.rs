@@ -28,7 +28,7 @@ pub struct Table2Row {
 /// Regenerates Table II by classifying every convertible test with the
 /// operational SC/TSO enumerators, on the machine's available parallelism.
 pub fn table2() -> Vec<Table2Row> {
-    table2_with_workers(perple_analysis::count::default_workers())
+    table2_with_workers(pool::default_workers())
 }
 
 /// [`table2`] with an explicit suite-pool worker count. Classification is

@@ -50,8 +50,7 @@ pub mod servehost;
 
 pub use error::{parse_fault_plan, PerpleError};
 pub use perple_analysis::count::{
-    default_workers, frame_at, frame_index, frame_space, CountRequest, CountResult, Counter,
-    CounterKind, ExhaustiveCounter, HeuristicCounter,
+    CountRequest, CountResult, Counter, CounterKind, ExhaustiveCounter, HeuristicCounter,
 };
 pub use perple_analysis::rf::RfCounter;
 pub use perple_analysis::{jsonout, metrics, modelmine, skew, stats, variety};
@@ -71,7 +70,7 @@ pub use perple_sim::{Budget, FaultKind, FaultPlan, FaultSpec, SimConfig};
 pub use perple_solve as solve;
 pub use servehost::{summary_json, validate_store_root, CampaignRunner};
 
-pub use experiments::Parallelism;
+pub use experiments::pool::default_workers;
 pub use perple_analysis::metrics::StageTimings;
 
 /// The solver's verdict on whether `model` forbids the test's condition:
@@ -112,7 +111,6 @@ pub struct Perple {
     conversion: Conversion,
     runner: PerpleRunner,
     exhaustive_frame_cap: Option<u64>,
-    workers: usize,
 }
 
 /// Everything one perpetual run produces: buffers, timing, and target
@@ -148,7 +146,6 @@ impl Perple {
             conversion,
             runner: PerpleRunner::new(config),
             exhaustive_frame_cap: None,
-            workers: 1,
         })
     }
 
@@ -168,18 +165,11 @@ impl Perple {
         self.exhaustive_frame_cap = cap;
     }
 
-    /// Shards the counters over `workers` threads (1 = serial, the
-    /// default). Counts are bit-identical at every setting; only wall
-    /// time changes.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
     /// Runs `n` perpetual iterations and applies both target counters.
     pub fn run(&mut self, n: u64) -> PerpleResult {
         let run = self.runner.run(&self.conversion.perpetual, n);
         let bufs = run.bufs();
-        let req = CountRequest::new(&bufs, n).with_workers(self.workers);
+        let req = CountRequest::new(&bufs, n);
         let target_heuristic =
             HeuristicCounter::single(&self.conversion.target_heuristic).count(&req);
         let target_exhaustive = ExhaustiveCounter::single(&self.conversion.target_exhaustive)
@@ -197,7 +187,7 @@ impl Perple {
         let run = self.runner.run(&self.conversion.perpetual, n);
         let bufs = run.bufs();
         let count = HeuristicCounter::single(&self.conversion.target_heuristic)
-            .count(&CountRequest::new(&bufs, n).with_workers(self.workers));
+            .count(&CountRequest::new(&bufs, n));
         (run, count)
     }
 }
@@ -263,14 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_engine_results() {
-        let mut serial =
-            Perple::with_config(&suite::sb(), SimConfig::default().with_seed(9)).unwrap();
-        let mut parallel =
-            Perple::with_config(&suite::sb(), SimConfig::default().with_seed(9)).unwrap();
-        parallel.set_workers(7);
-        let a = serial.run(800);
-        let b = parallel.run(800);
+    fn same_seed_engines_produce_identical_results() {
+        let mut a = Perple::with_config(&suite::sb(), SimConfig::default().with_seed(9)).unwrap();
+        let mut b = Perple::with_config(&suite::sb(), SimConfig::default().with_seed(9)).unwrap();
+        let a = a.run(800);
+        let b = b.run(800);
         assert_eq!(a.target_heuristic.counts, b.target_heuristic.counts);
         assert_eq!(a.target_exhaustive.counts, b.target_exhaustive.counts);
         assert_eq!(a.target_exhaustive.evals, b.target_exhaustive.evals);

@@ -39,7 +39,7 @@ fn run_detects_sb_and_stays_clean_on_mp() {
     let text = String::from_utf8_lossy(&out.stdout);
     let hits: u64 = text
         .lines()
-        .find_map(|l| l.strip_prefix("target outcome occurrences (heuristic counter): "))
+        .find_map(|l| l.strip_prefix("target outcome occurrences (rf counter): "))
         .expect("count line")
         .parse()
         .expect("count parses");
@@ -47,7 +47,7 @@ fn run_detects_sb_and_stays_clean_on_mp() {
 
     let out = perple(&["run", "mp", "-n", "3000"]);
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("occurrences (heuristic counter): 0"));
+    assert!(text.contains("occurrences (rf counter): 0"));
     assert!(!text.contains("violates"));
 }
 
@@ -97,6 +97,29 @@ fn run_counter_flag_switches_backends_and_counts_agree() {
         String::from_utf8_lossy(&bad.stderr).contains("bad counter"),
         "{}",
         String::from_utf8_lossy(&bad.stderr)
+    );
+}
+
+#[test]
+fn workers_is_rejected_where_no_pool_runs() {
+    for args in [
+        &["run", "sb", "-n", "50", "--workers", "2"][..],
+        &["trace", "sb", "-n", "2", "--workers", "2"],
+        &["infer", "-n", "50", "--workers", "2"],
+    ] {
+        let out = perple(args);
+        assert!(!out.status.success(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("--workers is not accepted by `{}`", args[0])),
+            "{args:?}: {err}"
+        );
+    }
+    let out = perple(&["audit", "-n", "60", "--workers", "2"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
 }
 

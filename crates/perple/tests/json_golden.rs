@@ -36,7 +36,7 @@ const GOLDEN_SHOW: &str = concat!(
     r#""metrics":{"counters":{"sim_store_buffer_flushes":0,"sim_preemptions":0,"#,
     r#""sim_micro_preemptions":0,"sim_stalls":0,"sim_scheduler_cycles":0,"#,
     r#""sim_fault_injections":0,"sim_runs":0,"count_frames_examined":0,"#,
-    r#""count_frames_skipped_seek":0,"count_partner_hits":0,"count_partner_misses":0,"#,
+    r#""count_partner_hits":0,"count_partner_misses":0,"#,
     r#""count_budget_expiries":0,"count_rf_edges_walked":0,"count_rf_closure_steps":0,"#,
     r#""count_rf_fallbacks":0,"exec_retries":0,"exec_quarantines":0,"#,
     r#""exec_budget_expiries":0,"store_io_boundaries":14,"store_journal_appends":2,"#,

@@ -1,5 +1,5 @@
 //! Differential proof obligations for the polynomial rf counter: across
-//! the full convertible corpus, at every worker count, under fault
+//! the full convertible corpus, at every suite-pool width, under fault
 //! injection, over campaign-spec seed sets, and on adversarial random
 //! buffers, [`RfCounter`] must be **bit-identical** to the exhaustive
 //! reference — same counts, same flags — with the polynomial path (no
@@ -9,6 +9,7 @@
 //! `heuristic <= rf == exhaustive` ordering, and budget expiry yielding a
 //! provable iteration prefix.
 
+use perple::experiments::pool::map_parallel;
 use perple::{
     Budget, Conversion, CountRequest, CountResult, Counter, ExhaustiveCounter, FaultPlan,
     HeuristicCounter, LitmusTest, PerpleRunner, RfCounter, SimConfig,
@@ -16,8 +17,6 @@ use perple::{
 use perple_model::generate::generate_corpus;
 use perple_model::suite;
 use perple_repro::prop::run_cases;
-
-const WORKERS: [usize; 4] = [1, 2, 3, 7];
 
 /// The outcome sets of these tests contain multi-variable existential
 /// outcomes outside the rf fragment (3-D dominance); their *targets* are
@@ -199,27 +198,61 @@ fn three_load_cycle_work_is_far_below_its_quadratic_bound() {
     );
 }
 
+/// Asserts every field but the wall time matches.
+fn assert_same_fields(a: &CountResult, b: &CountResult, ctx: &str) {
+    assert_eq!(a.counts, b.counts, "{ctx}: counts");
+    assert_eq!(a.frames_examined, b.frames_examined, "{ctx}: frames");
+    assert_eq!(a.evals, b.evals, "{ctx}: evals");
+    assert_eq!(a.truncated, b.truncated, "{ctx}: truncated");
+    assert_eq!(a.budget_expired, b.budget_expired, "{ctx}: budget");
+    assert_eq!(a.downgraded, b.downgraded, "{ctx}: downgraded");
+}
+
 #[test]
 fn worker_counts_change_no_field_of_the_rf_result() {
-    for name in ["sb", "wrc", "podwr001", "iriw"] {
-        let test = suite::by_name(name).expect("suite test");
-        let conv = Conversion::convert(&test).expect("converts");
-        let n = 48u64;
-        let mut runner = PerpleRunner::new(SimConfig::default().with_seed(0x33));
-        let run = runner.run(&conv.perpetual, n);
-        let bufs = run.bufs();
-        let serial = RfCounter::single(&conv.target_exhaustive).count(&CountRequest::new(&bufs, n));
-        for w in WORKERS {
-            let par = RfCounter::single(&conv.target_exhaustive)
-                .count(&CountRequest::new(&bufs, n).with_workers(w));
-            let ctx = format!("{name}, workers {w}");
-            assert_eq!(serial.counts, par.counts, "{ctx}: counts");
-            assert_eq!(serial.frames_examined, par.frames_examined, "{ctx}: frames");
-            assert_eq!(serial.evals, par.evals, "{ctx}: evals");
-            assert_eq!(serial.truncated, par.truncated, "{ctx}: truncated");
-            assert_eq!(serial.downgraded, par.downgraded, "{ctx}: downgraded");
+    // Production counts run on the suite pool's threads: the pool width
+    // must not change any field of an rf result.
+    let n = 48u64;
+    let runs: Vec<(Conversion, perple::PerpleRun)> = ["sb", "wrc", "podwr001", "iriw"]
+        .iter()
+        .map(|name| {
+            let test = suite::by_name(name).expect("suite test");
+            let conv = Conversion::convert(&test).expect("converts");
+            let mut runner = PerpleRunner::new(SimConfig::default().with_seed(0x33));
+            let run = runner.run(&conv.perpetual, n);
+            (conv, run)
+        })
+        .collect();
+    let count = |(conv, run): &(Conversion, perple::PerpleRun)| {
+        RfCounter::single(&conv.target_exhaustive).count(&CountRequest::new(&run.bufs(), n))
+    };
+    let serial: Vec<CountResult> = runs.iter().map(count).collect();
+    for w in [2usize, 3, 7] {
+        let pooled = map_parallel(&runs, w, |_, r| count(r));
+        for (i, (s, p)) in serial.iter().zip(&pooled).enumerate() {
+            assert_same_fields(s, p, &format!("item {i}, workers {w}"));
         }
     }
+}
+
+#[test]
+fn three_load_exhaustive_scan_covers_the_cubic_frame_space() {
+    // podwr001 has T_L = 3: uncapped, the else-if chain over every outcome
+    // visits all N^3 frames, and rf still matches the target count.
+    let test = suite::podwr001();
+    let conv = Conversion::convert(&test).expect("converts");
+    let all = conv.all_outcomes(&test).expect("outcomes");
+    let exh: Vec<_> = all.iter().map(|(o, _)| o.clone()).collect();
+    let n = 40u64;
+    let mut runner = PerpleRunner::new(SimConfig::default().with_seed(0x3D));
+    let run = runner.run(&conv.perpetual, n);
+    let bufs = run.bufs();
+    assert_eq!(bufs.len(), 3);
+    let chain = ExhaustiveCounter::new(&exh).count(&CountRequest::new(&bufs, n));
+    assert_eq!(chain.frames_examined, 64_000);
+    assert!(!chain.truncated);
+    assert!(chain.total() <= chain.frames_examined);
+    assert_rf_equals_exhaustive(&conv.target_exhaustive, &bufs, n, "podwr001 n 40");
 }
 
 #[test]
@@ -312,8 +345,8 @@ fn prop_adversarial_random_buffers_agree() {
 
 #[test]
 fn prop_rf_is_deterministic_across_reruns_and_worker_counts() {
-    // Satellite 1c: the same request is a pure function — rerunning it, at
-    // any worker count, reproduces every field.
+    // The same request is a pure function: rerunning it, on the calling
+    // thread or on a suite pool of any width, reproduces every field.
     let tests = suite::convertible();
     run_cases(12, |g| {
         let test = g.choose(&tests).clone();
@@ -325,12 +358,15 @@ fn prop_rf_is_deterministic_across_reruns_and_worker_counts() {
         let req = CountRequest::new(&bufs, n);
         let first = RfCounter::single(&conv.target_exhaustive).count(&req);
         let again = RfCounter::single(&conv.target_exhaustive).count(&req);
-        assert_eq!(first.counts, again.counts);
-        assert_eq!(first.frames_examined, again.frames_examined);
+        assert_same_fields(&first, &again, test.name());
         let w = *g.choose(&[2usize, 3, 7, 16]);
-        let wide = RfCounter::single(&conv.target_exhaustive).count(&req.with_workers(w));
-        assert_eq!(first.counts, wide.counts, "{} workers {w}", test.name());
-        assert_eq!(first.evals, wide.evals, "{} workers {w}", test.name());
+        let reqs = [req; 4];
+        let pooled = map_parallel(&reqs, w, |_, r| {
+            RfCounter::single(&conv.target_exhaustive).count(r)
+        });
+        for p in &pooled {
+            assert_same_fields(&first, p, &format!("{} workers {w}", test.name()));
+        }
     });
 }
 

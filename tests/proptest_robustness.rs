@@ -1,11 +1,10 @@
 //! Robustness properties: the parser never panics on arbitrary input, the
 //! simulator only ever produces attributable values, counters respect their
-//! algorithmic invariants (serial and parallel), and the generator's tests
-//! round-trip. Runs on the in-repo [`perple_repro::prop`] harness.
+//! algorithmic invariants, and the generator's tests round-trip. Runs on the in-repo [`perple_repro::prop`] harness.
 
+use perple::experiments::pool::map_parallel;
 use perple::{
-    frame_at, frame_index, frame_space, Conversion, CountRequest, Counter, ExhaustiveCounter,
-    HeuristicCounter, PerpleRunner, SimConfig,
+    Conversion, CountRequest, Counter, ExhaustiveCounter, HeuristicCounter, PerpleRunner, SimConfig,
 };
 use perple_convert::KMap;
 use perple_model::{generate, parser, printer, suite};
@@ -136,8 +135,9 @@ fn generated_tests_roundtrip_through_text() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel-counter properties: random outcome sets, buffers, and worker
-// counts must leave every counter bit-identical to its serial reference.
+// Counter properties under the suite pool: random outcome sets, buffers,
+// frame caps and pool widths. Each count is one serial scan; the pool runs
+// many at once, which must change no field of any result.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -151,7 +151,7 @@ fn parallel_counters_match_serial_for_arbitrary_worker_counts() {
         let heu: Vec<_> = all.iter().map(|(_, h)| h.clone()).collect();
 
         // Random buffers: garbage values are fine — the counters must be
-        // sound on any input, and equality must hold regardless.
+        // sound on any input.
         let n = 1 + g.range_u64(0, 40);
         let reads = test.reads_per_thread();
         let bufs_owned: Vec<Vec<u64>> = test
@@ -164,69 +164,40 @@ fn parallel_counters_match_serial_for_arbitrary_worker_counts() {
             .collect();
         let bufs: Vec<&[u64]> = bufs_owned.iter().map(Vec::as_slice).collect();
 
+        let space = n.pow(bufs.len() as u32);
         let cap = match g.below(3) {
             0 => None,
-            1 => Some(g.range_u64(0, frame_space(n, bufs.len()) + 2)),
+            1 => Some(g.range_u64(0, space + 2)),
             _ => Some(g.range_u64(0, 50)),
         };
+        let req = CountRequest::new(&bufs, n).with_frame_cap(cap);
+        let count_all = |req: &CountRequest<'_>| {
+            [
+                ExhaustiveCounter::new(&exh).count(req),
+                HeuristicCounter::new(&heu).count(req),
+                HeuristicCounter::each(&heu).count(req),
+            ]
+        };
+        let [re, rh, ra] = count_all(&req);
+
+        // The cap selects a prefix of the N^{T_L} frame space.
+        let limit = cap.map_or(space, |c| c.min(space));
+        assert_eq!(re.frames_examined, limit, "cap {cap:?} of {space} frames");
+        assert_eq!(re.truncated, cap.is_some_and(|c| c < space), "cap {cap:?}");
+        // Σ counts ≤ frames for the else-if counters.
+        assert!(re.total() <= re.frames_examined);
+        assert!(rh.total() <= rh.frames_examined);
+        assert_eq!(ra.frames_examined, n * heu.len() as u64);
+
         let workers = 1 + g.below(12);
-        let serial = CountRequest::new(&bufs, n);
-        let sharded = serial.with_workers(workers);
-
-        let se = ExhaustiveCounter::new(&exh).count(&serial.with_frame_cap(cap));
-        let pe = ExhaustiveCounter::new(&exh).count(&sharded.with_frame_cap(cap));
-        assert_eq!(se.counts, pe.counts, "exhaustive counts, workers {workers}");
-        assert_eq!(se.frames_examined, pe.frames_examined);
-        assert_eq!(se.evals, pe.evals);
-        assert_eq!(se.truncated, pe.truncated);
-
-        let sh = HeuristicCounter::new(&heu).count(&serial);
-        let ph = HeuristicCounter::new(&heu).count(&sharded);
-        assert_eq!(sh.counts, ph.counts, "heuristic counts, workers {workers}");
-        assert_eq!(sh.evals, ph.evals);
-
-        let sa = HeuristicCounter::each(&heu).count(&serial);
-        let pa = HeuristicCounter::each(&heu).count(&sharded);
-        assert_eq!(sa.counts, pa.counts, "each counts, workers {workers}");
-        assert_eq!(sa.evals, pa.evals);
-
-        // Σ counts ≤ frames must survive the merge (else-if counters).
-        assert!(pe.total() <= pe.frames_examined);
-        assert!(ph.total() <= ph.frames_examined);
-    });
-}
-
-#[test]
-fn frame_seek_round_trips_against_the_serial_odometer() {
-    run_cases(32, |g| {
-        let n = 1 + g.range_u64(0, 9);
-        let tl = 1 + g.below(3);
-        let total = frame_space(n, tl);
-
-        // The serial odometer, stepped from zero, must visit exactly
-        // frame_at(0), frame_at(1), ... — and frame_index must invert.
-        let mut frame = vec![0u64; tl];
-        for index in 0..total.min(200) {
-            assert_eq!(frame_at(index, n, tl), frame, "index {index} n {n} tl {tl}");
-            assert_eq!(frame_index(&frame, n), index);
-            let mut pos = tl;
-            loop {
-                if pos == 0 {
-                    break;
-                }
-                pos -= 1;
-                frame[pos] += 1;
-                if frame[pos] < n {
-                    break;
-                }
-                frame[pos] = 0;
+        let reqs = vec![req; workers + 1];
+        for pooled in map_parallel(&reqs, workers, |_, r| count_all(r)) {
+            for (serial, par) in [&re, &rh, &ra].into_iter().zip(&pooled) {
+                assert_eq!(serial.counts, par.counts, "workers {workers}");
+                assert_eq!(serial.frames_examined, par.frames_examined);
+                assert_eq!(serial.evals, par.evals);
+                assert_eq!(serial.truncated, par.truncated);
             }
-        }
-
-        // Random mid-space probes round-trip too.
-        for _ in 0..20 {
-            let index = g.range_u64(0, total);
-            assert_eq!(frame_index(&frame_at(index, n, tl), n), index);
         }
     });
 }
