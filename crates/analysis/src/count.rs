@@ -3,7 +3,7 @@
 //! # The unified counting API
 //!
 //! All counting goes through one entry point: a [`Counter`] implementation
-//! ([`ExhaustiveCounter`] or [`HeuristicCounter`]) owns the outcomes of
+//! ([`ExhaustiveCounter`] or [`HeuristicCounter`]) owns one outcome of
 //! interest, and a [`CountRequest`] carries the run buffers plus the
 //! execution policy (frame cap, watchdog budget).
 //! [`Counter::count`] is the pipeline's single choke point: it opens the
@@ -73,14 +73,12 @@ impl CounterKind {
 /// Result of one counting pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountResult {
-    /// Occurrences per outcome of interest (paper's `counts` array).
+    /// Occurrences of the counted outcome, as a one-element vector.
     pub counts: Vec<u64>,
-    /// Frames examined: `N^{T_L}` for the exhaustive counter (unless
-    /// capped), `N` for the heuristic counter.
+    /// Work done: frames for the exhaustive counter (`N^{T_L}` unless
+    /// capped), pivots for the heuristic counter (`N`), sweep positions
+    /// for the rf counter. Used as the counting component of model-time.
     pub frames_examined: u64,
-    /// Individual `p_out` evaluations performed (else-if chains stop at the
-    /// first match). Used as the counting component of model-time.
-    pub evals: u64,
     /// Wall-clock time of the counting pass.
     pub wall: Duration,
     /// True if a frame cap truncated the exhaustive scan.
@@ -90,19 +88,11 @@ pub struct CountResult {
     /// before the cutoff — a prefix of the untruncated scan.
     pub budget_expired: bool,
     /// True if the strategy downgraded itself: the rf counter fell back to
-    /// the exhaustive scan because an outcome's constraint shape lay
-    /// outside its polynomial fragment. The counts are still exact (the
+    /// the exhaustive scan because the outcome's constraint shape lay
+    /// outside its polynomial fragment. The count is still exact (the
     /// fallback *is* the exhaustive scan), but the asymptotic win was lost
     /// — mirroring how budget expiry records a degraded result.
     pub downgraded: bool,
-}
-
-impl CountResult {
-    /// Total occurrences across all outcomes of interest. For else-if
-    /// (chained) counters it never exceeds [`CountResult::frames_examined`].
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
 }
 
 /// One counting request: run buffers, iteration count, and execution
@@ -144,14 +134,11 @@ impl<'a> CountRequest<'a> {
     }
 }
 
-/// A counting strategy bound to its outcomes of interest.
+/// A counting strategy bound to its outcome of interest.
 ///
 /// [`Counter::count`] is the instrumented entry point every caller should
 /// use; [`Counter::scan`] is the raw implementation hook.
 pub trait Counter {
-    /// Short strategy name (used as the span/metric label).
-    fn name(&self) -> &'static str;
-
     /// The uninstrumented counting pass (implementation hook). Prefer
     /// [`Counter::count`], which wraps this in the observability layer.
     fn scan(&self, req: &CountRequest<'_>) -> CountResult;
@@ -175,83 +162,66 @@ pub trait Counter {
 /// full `N^{T_L}` frame space or its capped prefix.
 #[derive(Debug, Clone, Copy)]
 pub struct ExhaustiveCounter<'a> {
-    outcomes: &'a [PerpetualOutcome],
+    outcome: &'a PerpetualOutcome,
 }
 
 impl<'a> ExhaustiveCounter<'a> {
-    /// A counter over `outcomes` with else-if (first match wins) chaining.
-    pub fn new(outcomes: &'a [PerpetualOutcome]) -> Self {
-        Self { outcomes }
-    }
-
-    /// Convenience for the common single-target case.
+    /// A counter for `outcome`.
     pub fn single(outcome: &'a PerpetualOutcome) -> Self {
-        Self::new(std::slice::from_ref(outcome))
+        Self { outcome }
     }
 }
 
 impl Counter for ExhaustiveCounter<'_> {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
     fn scan(&self, req: &CountRequest<'_>) -> CountResult {
-        exhaustive_scan(self.outcomes, req)
+        exhaustive_scan(self.outcome, req)
     }
 }
 
 /// [`Counter`] for the linear heuristic `COUNTH` scan (Algorithm 2).
-///
-/// Two modes: **chained** ([`HeuristicCounter::new`]) applies the paper's
-/// else-if chain (at most one outcome per pivot); **per-outcome**
-/// ([`HeuristicCounter::each`]) evaluates every outcome at every pivot
-/// independently (Figure 13's sampling). Per-outcome mode has no budgeted
-/// variant: a request's budget is ignored there.
 #[derive(Debug, Clone, Copy)]
 pub struct HeuristicCounter<'a> {
-    outcomes: &'a [HeuristicOutcome],
-    chained: bool,
+    outcome: &'a HeuristicOutcome,
 }
 
 impl<'a> HeuristicCounter<'a> {
-    /// A chained (else-if) counter over `outcomes`.
-    pub fn new(outcomes: &'a [HeuristicOutcome]) -> Self {
-        Self {
-            outcomes,
-            chained: true,
-        }
-    }
-
-    /// Convenience for the common single-target case.
+    /// A counter for `outcome`.
     pub fn single(outcome: &'a HeuristicOutcome) -> Self {
-        Self::new(std::slice::from_ref(outcome))
-    }
-
-    /// A per-outcome (unchained) counter over `outcomes`.
-    pub fn each(outcomes: &'a [HeuristicOutcome]) -> Self {
-        Self {
-            outcomes,
-            chained: false,
-        }
+        Self { outcome }
     }
 }
 
 impl Counter for HeuristicCounter<'_> {
-    fn name(&self) -> &'static str {
-        "heuristic"
-    }
-
+    /// One pass over the pivots, polling the budget before each one.
     fn scan(&self, req: &CountRequest<'_>) -> CountResult {
-        let result = heuristic_scan(self.outcomes, req, self.chained);
-        // Every eval derives a partner frame from the pivot's loads and
-        // tests one outcome against it: matches are derivation hits.
-        let hits = result.total();
+        let start = Instant::now();
+        let (bufs, n) = (req.bufs, req.n);
+        let mut hits: u64 = 0;
+        let mut pivots: u64 = 0;
+        let mut budget_expired = false;
+        let mut scratch = HeuristicScratch::default();
+        for i in 0..n {
+            if req.budget.is_some_and(Budget::expired) {
+                budget_expired = true;
+                break;
+            }
+            pivots += 1;
+            if self.outcome.eval(i, bufs, n, &mut scratch) {
+                hits += 1;
+            }
+        }
+        // Every pivot derives a partner frame from its loads and tests the
+        // outcome against it: matches are derivation hits.
         obs_metrics::add(Metric::CountPartnerHits, hits);
-        obs_metrics::add(
-            Metric::CountPartnerMisses,
-            result.evals.saturating_sub(hits),
-        );
-        result
+        obs_metrics::add(Metric::CountPartnerMisses, pivots - hits);
+        CountResult {
+            counts: vec![hits],
+            frames_examined: pivots,
+            wall: start.elapsed(),
+            truncated: false,
+            budget_expired,
+            downgraded: false,
+        }
     }
 }
 
@@ -260,20 +230,16 @@ impl Counter for HeuristicCounter<'_> {
 /// `min(frame_cap, N^{T_L})` frames, or at the first budget poll (one every
 /// [`EXHAUSTIVE_POLL_INTERVAL`] frames) that finds the watchdog expired.
 /// `truncated` is set iff the cap stopped the scan with frames left over.
-pub(crate) fn exhaustive_scan(
-    outcomes: &[PerpetualOutcome],
-    req: &CountRequest<'_>,
-) -> CountResult {
+pub(crate) fn exhaustive_scan(outcome: &PerpetualOutcome, req: &CountRequest<'_>) -> CountResult {
     let start = Instant::now();
     let (bufs, n) = (req.bufs, req.n);
     let tl = bufs.len();
-    let mut counts = vec![0u64; outcomes.len()];
+    let mut count: u64 = 0;
     let mut frames: u64 = 0;
-    let mut evals: u64 = 0;
     let mut truncated = false;
     let mut budget_expired = false;
 
-    if n > 0 && !outcomes.is_empty() {
+    if n > 0 {
         let mut frame = vec![0u64; tl];
         'scan: loop {
             if req.frame_cap.is_some_and(|cap| frames >= cap) {
@@ -287,12 +253,8 @@ pub(crate) fn exhaustive_scan(
                 }
             }
             frames += 1;
-            for (o, outcome) in outcomes.iter().enumerate() {
-                evals += 1;
-                if outcome.eval_frame(&frame, bufs, n) {
-                    counts[o] += 1;
-                    break; // else-if: at most one outcome per frame
-                }
+            if outcome.eval_frame(&frame, bufs, n) {
+                count += 1;
             }
             // Odometer over the frame tuple.
             let mut pos = tl;
@@ -311,63 +273,10 @@ pub(crate) fn exhaustive_scan(
     }
 
     CountResult {
-        counts,
+        counts: vec![count],
         frames_examined: frames,
-        evals,
         wall: start.elapsed(),
         truncated,
-        budget_expired,
-        downgraded: false,
-    }
-}
-
-/// The heuristic scan (Algorithm 2). Chained: one pass over the pivots,
-/// polling the budget before each one. Per-outcome: one unbudgeted pass
-/// over the pivots per outcome.
-fn heuristic_scan(
-    outcomes: &[HeuristicOutcome],
-    req: &CountRequest<'_>,
-    chained: bool,
-) -> CountResult {
-    let start = Instant::now();
-    let (bufs, n) = (req.bufs, req.n);
-    let mut counts = vec![0u64; outcomes.len()];
-    let mut evals: u64 = 0;
-    let mut pivots: u64 = 0;
-    let mut budget_expired = false;
-    let mut scratch = HeuristicScratch::default();
-    if chained {
-        for i in 0..n {
-            if req.budget.is_some_and(Budget::expired) {
-                budget_expired = true;
-                break;
-            }
-            pivots += 1;
-            for (o, h) in outcomes.iter().enumerate() {
-                evals += 1;
-                if h.eval(i, bufs, n, &mut scratch) {
-                    counts[o] += 1;
-                    break;
-                }
-            }
-        }
-    } else {
-        for (o, h) in outcomes.iter().enumerate() {
-            for i in 0..n {
-                evals += 1;
-                if h.eval(i, bufs, n, &mut scratch) {
-                    counts[o] += 1;
-                }
-            }
-        }
-        pivots = n * outcomes.len() as u64;
-    }
-    CountResult {
-        counts,
-        frames_examined: pivots,
-        evals,
-        wall: start.elapsed(),
-        truncated: false,
         budget_expired,
         downgraded: false,
     }
@@ -394,43 +303,39 @@ mod tests {
     // Local wrappers with the legacy call shapes: every reference test
     // below exercises the `Counter` trait directly.
     fn count_exhaustive(
-        outcomes: &[PerpetualOutcome],
+        outcome: &PerpetualOutcome,
         bufs: &[&[u64]],
         n: u64,
         cap: Option<u64>,
     ) -> CountResult {
-        ExhaustiveCounter::new(outcomes).count(&CountRequest::new(bufs, n).with_frame_cap(cap))
+        ExhaustiveCounter::single(outcome).count(&CountRequest::new(bufs, n).with_frame_cap(cap))
     }
 
     fn count_exhaustive_budgeted(
-        outcomes: &[PerpetualOutcome],
+        outcome: &PerpetualOutcome,
         bufs: &[&[u64]],
         n: u64,
         cap: Option<u64>,
         budget: &Budget,
     ) -> CountResult {
-        ExhaustiveCounter::new(outcomes).count(
+        ExhaustiveCounter::single(outcome).count(
             &CountRequest::new(bufs, n)
                 .with_frame_cap(cap)
                 .with_budget(budget),
         )
     }
 
-    fn count_heuristic(outcomes: &[HeuristicOutcome], bufs: &[&[u64]], n: u64) -> CountResult {
-        HeuristicCounter::new(outcomes).count(&CountRequest::new(bufs, n))
+    fn count_heuristic(outcome: &HeuristicOutcome, bufs: &[&[u64]], n: u64) -> CountResult {
+        HeuristicCounter::single(outcome).count(&CountRequest::new(bufs, n))
     }
 
     fn count_heuristic_budgeted(
-        outcomes: &[HeuristicOutcome],
+        outcome: &HeuristicOutcome,
         bufs: &[&[u64]],
         n: u64,
         budget: &Budget,
     ) -> CountResult {
-        HeuristicCounter::new(outcomes).count(&CountRequest::new(bufs, n).with_budget(budget))
-    }
-
-    fn count_heuristic_each(outcomes: &[HeuristicOutcome], bufs: &[&[u64]], n: u64) -> CountResult {
-        HeuristicCounter::each(outcomes).count(&CountRequest::new(bufs, n))
+        HeuristicCounter::single(outcome).count(&CountRequest::new(bufs, n).with_budget(budget))
     }
 
     /// Lockstep buffers: iteration n of each thread read the other's store
@@ -444,12 +349,7 @@ mod tests {
         let f = sb_fixture();
         let (b0, b1) = lockstep_bufs(10);
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let r = count_exhaustive(
-            std::slice::from_ref(&f.conv.target_exhaustive),
-            &bufs,
-            10,
-            None,
-        );
+        let r = count_exhaustive(&f.conv.target_exhaustive, &bufs, 10, None);
         assert_eq!(r.frames_examined, 100);
         assert!(!r.truncated);
     }
@@ -459,85 +359,48 @@ mod tests {
         let f = sb_fixture();
         let (b0, b1) = lockstep_bufs(10);
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let r = count_exhaustive(
-            std::slice::from_ref(&f.conv.target_exhaustive),
-            &bufs,
-            10,
-            Some(30),
-        );
+        let r = count_exhaustive(&f.conv.target_exhaustive, &bufs, 10, Some(30));
         assert_eq!(r.frames_examined, 30);
         assert!(r.truncated);
     }
 
     #[test]
-    fn else_if_counts_at_most_one_outcome_per_frame() {
-        let f = sb_fixture();
-        let outcomes: Vec<PerpetualOutcome> = f.all.iter().map(|(o, _)| o.clone()).collect();
-        let (b0, b1) = lockstep_bufs(20);
-        let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let r = count_exhaustive(&outcomes, &bufs, 20, None);
-        assert!(r.total() <= r.frames_examined);
-        // Lockstep reads: every same-index frame is outcome 11; many
-        // off-diagonal frames also classify.
-        assert!(r.total() > 0);
-    }
-
-    #[test]
     fn heuristic_is_linear_and_subset_of_exhaustive() {
         let f = sb_fixture();
-        let exh: Vec<PerpetualOutcome> = f.all.iter().map(|(o, _)| o.clone()).collect();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
         // Interleaved synthetic buffers with plenty of variety.
         let n = 64u64;
         let b0: Vec<u64> = (0..n).map(|i| (i * 5 + 2) % (n + 1)).collect();
         let b1: Vec<u64> = (0..n).map(|i| (i * 3) % (n + 1)).collect();
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let re = count_exhaustive(&exh, &bufs, n, None);
-        let rh = count_heuristic(&heu, &bufs, n);
-        assert_eq!(rh.frames_examined, n);
-        assert_eq!(re.frames_examined, n * n);
-        for (h, e) in rh.counts.iter().zip(&re.counts) {
+        for (o, h) in &f.all {
+            let re = count_exhaustive(o, &bufs, n, None);
+            let rh = count_heuristic(h, &bufs, n);
+            assert_eq!(rh.frames_examined, n);
+            assert_eq!(re.frames_examined, n * n);
             // Each heuristic hit corresponds to a real frame, and the
             // heuristic examines at most N frames per outcome.
-            assert!(*h <= *e + n, "heuristic {h} vs exhaustive {e}");
+            let (h, e) = (rh.counts[0], re.counts[0]);
+            assert!(h <= e + n, "heuristic {h} vs exhaustive {e}");
+            assert!(h <= n);
         }
-        assert!(rh.total() <= n);
     }
 
     #[test]
     fn lockstep_buffers_never_count_the_weak_outcome() {
         // In a lockstep run (each thread reads the partner's same-iteration
         // store), the frame (n, n+1) realizes outcome 01 — loaded value is
-        // "older" than the n+1 store but read-from iteration n — so the
-        // else-if chain (00,01,10,11) classifies most pivots as 01 and the
-        // final pivot (no n+1 frame) as 11. Crucially, the store-buffering
-        // outcome 00 never fires.
+        // "older" than the n+1 store but read-from iteration n — so every
+        // pivot but the last (no n+1 frame) counts 01. Crucially, the
+        // store-buffering outcome 00 never fires.
         let f = sb_fixture();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
         let (b0, b1) = lockstep_bufs(50);
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let r = count_heuristic(&heu, &bufs, 50);
-        assert_eq!(r.counts[0], 0, "no store buffering in lockstep reads");
-        assert_eq!(r.counts[1], 49);
-        assert_eq!(r.counts[3], 1);
-        assert_eq!(r.total(), 50);
-    }
-
-    #[test]
-    fn independent_counting_exceeds_chained_totals() {
-        let f = sb_fixture();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
-        let (b0, b1) = lockstep_bufs(50);
-        let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let chained = count_heuristic(&heu, &bufs, 50);
-        let each = count_heuristic_each(&heu, &bufs, 50);
-        // Without the else-if chain, outcomes 01 and 11 both count their
-        // own frames: the total exceeds the chained total.
-        assert!(each.total() >= chained.total());
-        assert_eq!(each.frames_examined, 200);
-        for (e, c) in each.counts.iter().zip(&chained.counts) {
-            assert!(e >= c);
-        }
+        let count = |label: &str| {
+            let (_, h) = f.all.iter().find(|(o, _)| o.label() == label).unwrap();
+            count_heuristic(h, &bufs, 50).counts[0]
+        };
+        assert_eq!(count("00"), 0, "no store buffering in lockstep reads");
+        assert_eq!(count("01"), 49);
     }
 
     #[test]
@@ -549,40 +412,24 @@ mod tests {
         let b0: Vec<u64> = (0..n).collect(); // reads value n (iter n-1) at iteration n
         let b1: Vec<u64> = (0..n).collect();
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let rh = count_heuristic(std::slice::from_ref(&f.conv.target_heuristic), &bufs, n);
+        let rh = count_heuristic(&f.conv.target_heuristic, &bufs, n);
         assert_eq!(rh.counts[0], n, "every iteration is a target hit");
-        let re = count_exhaustive(
-            std::slice::from_ref(&f.conv.target_exhaustive),
-            &bufs,
-            n,
-            None,
-        );
+        let re = count_exhaustive(&f.conv.target_exhaustive, &bufs, n, None);
         assert!(re.counts[0] >= n, "exhaustive finds at least the diagonal");
     }
 
     #[test]
-    fn zero_iterations_and_empty_outcomes() {
+    fn zero_iterations_are_degenerate() {
         let f = sb_fixture();
         let bufs: Vec<&[u64]> = vec![&[], &[]];
-        let r = count_exhaustive(
-            std::slice::from_ref(&f.conv.target_exhaustive),
-            &bufs,
-            0,
-            None,
-        );
-        assert_eq!(r.total(), 0);
+        let r = count_exhaustive(&f.conv.target_exhaustive, &bufs, 0, None);
+        assert_eq!(r.counts, [0]);
         assert_eq!(r.frames_examined, 0);
-        let r2 = count_exhaustive(&[], &bufs, 5, None);
-        assert_eq!(r2.frames_examined, 0);
-        let rh = count_heuristic(&[], &bufs, 0);
-        assert_eq!(rh.total(), 0);
+        let rh = count_heuristic(&f.conv.target_heuristic, &bufs, 0);
+        assert_eq!(rh.counts, [0]);
+        assert_eq!(rh.frames_examined, 0);
         // Degenerate scans never truncate, not even under a zero cap.
-        let capped = count_exhaustive(
-            std::slice::from_ref(&f.conv.target_exhaustive),
-            &bufs,
-            0,
-            Some(0),
-        );
+        let capped = count_exhaustive(&f.conv.target_exhaustive, &bufs, 0, Some(0));
         assert!(!capped.truncated);
         assert_eq!(capped.frames_examined, 0);
     }
@@ -592,21 +439,17 @@ mod tests {
         // sb at N = 300 has 90 000 frames: a cap below that truncates, a
         // cap at or above it scans the whole space.
         let f = sb_fixture();
-        let outcomes = std::slice::from_ref(&f.conv.target_exhaustive);
+        let outcome = &f.conv.target_exhaustive;
         let n = 300u64;
         let b0: Vec<u64> = (0..n).map(|i| (i * 7 + 3) % (n + 1)).collect();
         let b1: Vec<u64> = (0..n).map(|i| (i * 11) % (n + 1)).collect();
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let full = count_exhaustive(outcomes, &bufs, n, None);
+        let full = count_exhaustive(outcome, &bufs, n, None);
         assert_eq!(full.frames_examined, 90_000);
         for cap in [0u64, 1, 89_999, 90_000, 90_001] {
-            let r = count_exhaustive(outcomes, &bufs, n, Some(cap));
+            let r = count_exhaustive(outcome, &bufs, n, Some(cap));
             assert_eq!(r.truncated, cap < 90_000, "cap {cap}");
             assert_eq!(r.frames_examined, cap.min(90_000), "cap {cap}");
-            assert_eq!(
-                r.evals, r.frames_examined,
-                "one outcome: one eval per frame"
-            );
             assert!(r.counts[0] <= full.counts[0], "cap {cap}");
             if cap >= 90_000 {
                 assert_eq!(r.counts, full.counts, "cap {cap}");
@@ -617,87 +460,82 @@ mod tests {
     #[test]
     fn budgeted_counters_with_unlimited_budget_match_unbudgeted() {
         let f = sb_fixture();
-        let exh: Vec<PerpetualOutcome> = f.all.iter().map(|(o, _)| o.clone()).collect();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
         let (b0, b1) = lockstep_bufs(25);
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
         let b = Budget::unlimited();
-        let re = count_exhaustive_budgeted(&exh, &bufs, 25, None, &b);
-        let re_plain = count_exhaustive(&exh, &bufs, 25, None);
-        assert_eq!(re.counts, re_plain.counts);
-        assert_eq!(re.frames_examined, re_plain.frames_examined);
-        assert!(!re.budget_expired);
-        let rh = count_heuristic_budgeted(&heu, &bufs, 25, &b);
-        let rh_plain = count_heuristic(&heu, &bufs, 25);
-        assert_eq!(rh.counts, rh_plain.counts);
-        assert_eq!(rh.frames_examined, 25);
-        assert!(!rh.budget_expired);
+        for (o, h) in &f.all {
+            let re = count_exhaustive_budgeted(o, &bufs, 25, None, &b);
+            let re_plain = count_exhaustive(o, &bufs, 25, None);
+            assert_eq!(re.counts, re_plain.counts);
+            assert_eq!(re.frames_examined, re_plain.frames_examined);
+            assert!(!re.budget_expired);
+            let rh = count_heuristic_budgeted(h, &bufs, 25, &b);
+            let rh_plain = count_heuristic(h, &bufs, 25);
+            assert_eq!(rh.counts, rh_plain.counts);
+            assert_eq!(rh.frames_examined, 25);
+            assert!(!rh.budget_expired);
+        }
     }
 
     #[test]
     fn budgeted_exhaustive_truncates_at_the_poll_boundary() {
         let f = sb_fixture();
-        let exh: Vec<PerpetualOutcome> = f.all.iter().map(|(o, _)| o.clone()).collect();
         let n = 64u64; // 4096-frame space = 4 poll intervals
         let b0: Vec<u64> = (0..n).map(|i| (i * 5 + 2) % (n + 1)).collect();
         let b1: Vec<u64> = (0..n).map(|i| (i * 3) % (n + 1)).collect();
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        // One allowed poll: the scan covers exactly one poll interval.
-        let b = Budget::with_poll_limit(1);
-        let part = count_exhaustive_budgeted(&exh, &bufs, n, None, &b);
-        assert!(part.budget_expired);
-        assert_eq!(part.frames_examined, EXHAUSTIVE_POLL_INTERVAL);
-        // The partial result equals a frame-capped scan at the cutoff.
-        let capped = count_exhaustive(&exh, &bufs, n, Some(part.frames_examined));
-        assert_eq!(part.counts, capped.counts);
-        assert_eq!(part.evals, capped.evals);
+        for (o, _) in &f.all {
+            // One allowed poll: the scan covers exactly one poll interval.
+            let b = Budget::with_poll_limit(1);
+            let part = count_exhaustive_budgeted(o, &bufs, n, None, &b);
+            assert!(part.budget_expired);
+            assert_eq!(part.frames_examined, EXHAUSTIVE_POLL_INTERVAL);
+            // The partial result equals a frame-capped scan at the cutoff.
+            let capped = count_exhaustive(o, &bufs, n, Some(part.frames_examined));
+            assert_eq!(part.counts, capped.counts);
+            assert_eq!(part.frames_examined, capped.frames_examined);
+        }
     }
 
     #[test]
     fn budgeted_heuristic_counts_are_a_pivot_prefix() {
         let f = sb_fixture();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
         let n = 50u64;
         let b0: Vec<u64> = (0..n).map(|i| (i * 7 + 1) % (n + 1)).collect();
         let b1: Vec<u64> = (0..n).map(|i| (i * 13) % (n + 1)).collect();
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let full = count_heuristic(&heu, &bufs, n);
-        let b = Budget::with_poll_limit(20);
-        let part = count_heuristic_budgeted(&heu, &bufs, n, &b);
-        assert!(part.budget_expired);
-        assert_eq!(part.frames_examined, 20, "one poll per pivot");
-        // Prefix property: recount the scanned prefix serially.
-        let mut prefix = vec![0u64; heu.len()];
-        let mut scratch = HeuristicScratch::default();
-        for i in 0..20 {
-            for (o, h) in heu.iter().enumerate() {
-                if h.eval(i, &bufs, n, &mut scratch) {
-                    prefix[o] += 1;
-                    break;
-                }
-            }
-        }
-        assert_eq!(part.counts, prefix);
-        for (p, f) in part.counts.iter().zip(&full.counts) {
-            assert!(p <= f, "truncated counts can never exceed full counts");
+        for (_, h) in &f.all {
+            let full = count_heuristic(h, &bufs, n);
+            let b = Budget::with_poll_limit(20);
+            let part = count_heuristic_budgeted(h, &bufs, n, &b);
+            assert!(part.budget_expired);
+            assert_eq!(part.frames_examined, 20, "one poll per pivot");
+            // Prefix property: recount the scanned prefix serially.
+            let mut scratch = HeuristicScratch::default();
+            let prefix = (0..20)
+                .filter(|&i| h.eval(i, &bufs, n, &mut scratch))
+                .count() as u64;
+            assert_eq!(part.counts, [prefix]);
+            assert!(
+                part.counts[0] <= full.counts[0],
+                "truncated counts can never exceed full counts"
+            );
         }
     }
 
     #[test]
     fn expired_budget_yields_empty_counts() {
         let f = sb_fixture();
-        let exh: Vec<PerpetualOutcome> = f.all.iter().map(|(o, _)| o.clone()).collect();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
         let (b0, b1) = lockstep_bufs(10);
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
         let b = Budget::with_poll_limit(0);
-        let re = count_exhaustive_budgeted(&exh, &bufs, 10, None, &b);
+        let re = count_exhaustive_budgeted(&f.conv.target_exhaustive, &bufs, 10, None, &b);
         assert!(re.budget_expired);
         assert_eq!(re.frames_examined, 0);
-        assert_eq!(re.total(), 0);
-        let rh = count_heuristic_budgeted(&heu, &bufs, 10, &b);
+        assert_eq!(re.counts, [0]);
+        let rh = count_heuristic_budgeted(&f.conv.target_heuristic, &bufs, 10, &b);
         assert!(rh.budget_expired);
-        assert_eq!(rh.total(), 0);
+        assert_eq!(rh.counts, [0]);
     }
 
     #[test]
@@ -709,42 +547,15 @@ mod tests {
     }
 
     #[test]
-    fn counter_names_label_the_strategies() {
-        let f = sb_fixture();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
-        assert_eq!(
-            ExhaustiveCounter::single(&f.conv.target_exhaustive).name(),
-            "exhaustive"
-        );
-        assert_eq!(HeuristicCounter::new(&heu).name(), "heuristic");
-        assert_eq!(HeuristicCounter::each(&heu).name(), "heuristic");
-    }
-
-    #[test]
     fn counting_feeds_the_metrics_registry() {
         let f = sb_fixture();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
         let (b0, b1) = lockstep_bufs(30);
         let bufs: Vec<&[u64]> = vec![&b0, &b1];
         let before = perple_obs::metrics::snapshot();
-        let r = HeuristicCounter::new(&heu).count(&CountRequest::new(&bufs, 30));
+        let r = count_heuristic(&f.conv.target_heuristic, &bufs, 30);
         let delta = perple_obs::metrics::snapshot().delta_from(&before);
         assert!(delta.get("count_frames_examined") >= 30);
-        assert!(delta.get("count_partner_hits") >= r.total());
+        assert!(delta.get("count_partner_hits") >= r.counts[0]);
         assert!(delta.hist_total("count_frames_per_call") >= 1);
-    }
-
-    #[test]
-    fn evals_respect_else_if_short_circuit() {
-        let f = sb_fixture();
-        let heu: Vec<HeuristicOutcome> = f.all.iter().map(|(_, h)| h.clone()).collect();
-        let (b0, b1) = lockstep_bufs(10);
-        let bufs: Vec<&[u64]> = vec![&b0, &b1];
-        let r = count_heuristic(&heu, &bufs, 10);
-        // Lockstep: outcome 01 (second in the chain) matches for the first
-        // nine pivots (2 evals each); the last pivot falls through to
-        // outcome 11 (4 evals).
-        assert_eq!(r.evals, 9 * 2 + 4);
-        assert!(r.wall >= Duration::ZERO);
     }
 }

@@ -19,6 +19,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap turns a corrupt or hostile document of
+/// thousands of `[` into an error instead of a stack overflow; the
+/// workspace's own documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value with order-preserving objects and exact integers.
 ///
 /// Integers are kept as `i128` (wide enough for `u64` counters and
@@ -249,7 +255,7 @@ pub fn fmt_f64(x: f64) -> String {
 pub fn parse(s: &str) -> Result<Json, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -272,8 +278,13 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -289,7 +300,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -320,7 +331,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 pairs.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -568,6 +579,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_cap_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        let err = parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        // The cap itself is accepted.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let over = format!("[{deepest}]");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Post-run analysis of perpetual litmus tests:
 //!
 //! * [`count`] — the **exhaustive outcome counter** `COUNT` (Algorithm 1,
-//!   all `N^{T_L}` frames, else-if semantics) and the **linear heuristic
-//!   counter** `COUNTH` (Algorithm 2);
+//!   all `N^{T_L}` frames) and the **linear heuristic counter** `COUNTH`
+//!   (Algorithm 2), each counting one outcome;
 //! * [`rf`] — the **polynomial reads-from closure counter**: exact
 //!   per-outcome counts in `O(N log N)` per coordinate pair (plus one
 //!   Fenwick query per visited pair for three coupled loads, `O(N^2 log N)`

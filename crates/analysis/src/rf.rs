@@ -72,11 +72,10 @@
 //! # Semantics pinned to the exhaustive counter
 //!
 //! The differential suite (`tests/counter_equivalence.rs`) proves the
-//! `counts` vector bit-identical to [`ExhaustiveCounter`] — per outcome,
-//! not just in total. Three deliberate differences in the *policy*
-//! fields:
+//! count bit-identical to [`ExhaustiveCounter`] for every outcome. Three
+//! deliberate differences in the *policy* fields:
 //!
-//! * `frames_examined`/`evals` report the work the rf counter actually
+//! * `frames_examined` reports the work the rf counter actually
 //!   did, one unit per position of each sweep plus one per `(x, y)` pair
 //!   a cycle sweep visits (singleton `N`, pair `2N`, path `4N`, cycle `N`
 //!   plus the visited pairs), not `N^{T_L}` — that asymmetry *is* the
@@ -94,17 +93,6 @@
 //!   admitted prefix `M` exactly. The truncated result equals the full
 //!   rf/exhaustive count at `n = M` — a provable prefix, with
 //!   `budget_expired` set iff `M < N`.
-//!
-//! The polynomial path serves **single-outcome** requests — the
-//! production target-counting path (audit, campaign, bench). A
-//! multi-outcome batch carries the exhaustive scan's else-if chain
-//! semantics: a frame is assigned to the *first* matching outcome, and
-//! outcomes with existentially quantified store iterations can genuinely
-//! match the same frame, so the chain does not decompose into
-//! per-outcome counts. Batches therefore always take the (recorded)
-//! exhaustive fallback, preserving chain semantics bit for bit; callers
-//! who want polynomial counts for several outcomes count them one at a
-//! time, accepting "any match" rather than "first match" semantics.
 
 use std::time::Instant;
 
@@ -996,53 +984,26 @@ fn admitted_prefix(n: u64, budget: &Budget) -> (u64, bool) {
 /// fields' semantics.
 #[derive(Debug, Clone, Copy)]
 pub struct RfCounter<'a> {
-    outcomes: &'a [PerpetualOutcome],
+    outcome: &'a PerpetualOutcome,
 }
 
 impl<'a> RfCounter<'a> {
-    /// A counter over `outcomes`. Only single-outcome requests take the
-    /// polynomial path; a batch of two or more preserves the exhaustive
-    /// else-if chain via the recorded fallback (see module docs).
-    pub fn new(outcomes: &'a [PerpetualOutcome]) -> Self {
-        Self { outcomes }
-    }
-
-    /// The common single-target case — the shape the polynomial closure
-    /// actually accelerates.
+    /// A counter for `outcome`.
     pub fn single(outcome: &'a PerpetualOutcome) -> Self {
-        Self::new(std::slice::from_ref(outcome))
+        Self { outcome }
     }
 }
 
 impl Counter for RfCounter<'_> {
-    fn name(&self) -> &'static str {
-        "rf"
-    }
-
     fn scan(&self, req: &CountRequest<'_>) -> CountResult {
         let tl = req.bufs.len();
-        // The polynomial path serves single-outcome requests — the
-        // production target-counting path. Multi-outcome batches carry the
-        // exhaustive scan's else-if chain semantics (a frame goes to the
-        // FIRST matching outcome, and outcomes with existential stores can
-        // genuinely double-match), which do not decompose per outcome.
-        let compiled: Option<Vec<(Plan, Vec<Strategy>)>> = if self.outcomes.len() <= 1 {
-            self.outcomes
-                .iter()
-                .map(|o| {
-                    let plan = compile(o, tl);
-                    strategies(&plan, tl).map(|s| (plan, s))
-                })
-                .collect()
-        } else {
-            None
-        };
-        let Some(compiled) = compiled else {
-            // Outside the polynomial fragment (or a multi-outcome chain):
-            // run the exhaustive scan ExhaustiveCounter runs, frame cap and
-            // budget included, and record the downgrade.
+        let plan = compile(self.outcome, tl);
+        let Some(strats) = strategies(&plan, tl) else {
+            // Outside the polynomial fragment: run the exhaustive scan
+            // ExhaustiveCounter runs, frame cap and budget included, and
+            // record the downgrade.
             obs_metrics::add(Metric::CountRfFallbacks, 1);
-            let mut r = exhaustive_scan(self.outcomes, req);
+            let mut r = exhaustive_scan(self.outcome, req);
             r.downgraded = true;
             return r;
         };
@@ -1053,37 +1014,27 @@ impl Counter for RfCounter<'_> {
             None => (req.n, false),
         };
 
-        // Components are independent by construction, so an outcome's
+        // Components are independent by construction, so the outcome's
         // count is the product of its components' counts.
-        let mut counts = vec![0u64; self.outcomes.len()];
+        let mut count = 0u64;
         let mut frames: u64 = 0;
         let mut edges: u64 = 0;
-        if m > 0 {
-            for (count, (plan, strats)) in counts.iter_mut().zip(&compiled) {
-                if plan.infeasible {
-                    continue;
-                }
-                let mut t = 1u64;
-                for s in strats {
-                    let (n, work) = count_component(s, plan, req.bufs, m);
-                    t = t.saturating_mul(n);
-                    frames = frames.saturating_add(work);
-                    edges = edges.saturating_add(component_edges(s, m));
-                }
-                *count = t;
+        if m > 0 && !plan.infeasible {
+            count = 1;
+            for s in &strats {
+                let (n, work) = count_component(s, &plan, req.bufs, m);
+                count = count.saturating_mul(n);
+                frames = frames.saturating_add(work);
+                edges = edges.saturating_add(component_edges(s, m));
             }
         }
 
         obs_metrics::add(Metric::CountRfEdgesWalked, edges);
         obs_metrics::add(Metric::CountRfClosureSteps, frames);
 
-        // NOT built through merge_partials: rf counts can exceed its work
-        // model (one pair sweep can count up to m^2 pairs), so the
-        // else-if `counts <= frames_examined` invariant does not apply.
         CountResult {
-            counts,
+            counts: vec![count],
             frames_examined: frames,
-            evals: frames,
             wall: start.elapsed(),
             truncated: false,
             budget_expired,
@@ -1101,8 +1052,7 @@ mod tests {
 
     /// Deterministic garbage buffers with the run layout (`rpi * n`
     /// values per load thread): arbitrary values exercising decode
-    /// successes, decode failures, and stale/fresh fr thresholds. Sound
-    /// for single-outcome differentials on both sides (no else-if chain).
+    /// successes, decode failures, and stale/fresh fr thresholds.
     fn synthetic_bufs(conv: &Conversion, n: u64, salt: u64) -> Vec<Vec<u64>> {
         let perp = &conv.perpetual;
         perp.load_threads()
@@ -1142,9 +1092,8 @@ mod tests {
         }
     }
 
-    /// Every outcome of every convertible test, counted *individually*
-    /// (single-outcome requests are chain-free on both sides, so pure
-    /// garbage buffers are a sound oracle): bit-equal counts corpus-wide,
+    /// Every outcome of every convertible test, counted on pure garbage
+    /// buffers: bit-equal counts corpus-wide,
     /// with the fallback set pinned — exactly the five tests whose
     /// multi-variable existential outcomes yield two independent
     /// data-data constraints in one orientation (a 3-D dominance problem
@@ -1186,29 +1135,6 @@ mod tests {
         );
     }
 
-    /// Multi-outcome batches carry the exhaustive else-if chain (a frame
-    /// goes to the first matching outcome; outcomes can double-match), so
-    /// the rf counter serves them through the recorded fallback — and the
-    /// result is bit-identical to the exhaustive counter even on garbage
-    /// buffers where outcomes genuinely overlap.
-    #[test]
-    fn multi_outcome_batches_preserve_the_chain_via_fallback() {
-        for name in ["sb", "n1", "wrc"] {
-            let test = suite::by_name(name).unwrap();
-            let conv = Conversion::convert(&test).unwrap();
-            let all = conv.all_outcomes(&test).unwrap();
-            let outcomes: Vec<PerpetualOutcome> = all.into_iter().map(|(o, _)| o).collect();
-            let n = 20u64;
-            let owned = synthetic_bufs(&conv, n, 0xABAD);
-            let bufs: Vec<&[u64]> = owned.iter().map(Vec::as_slice).collect();
-            let req = CountRequest::new(&bufs, n);
-            let rf = RfCounter::new(&outcomes).count(&req);
-            assert!(rf.downgraded, "{name}: batch must record the downgrade");
-            let exh = ExhaustiveCounter::new(&outcomes).count(&req);
-            assert_eq!(rf.counts, exh.counts, "{name} chain counts differ");
-        }
-    }
-
     #[test]
     fn rf_matches_exhaustive_per_outcome_across_salts() {
         for (name, n) in [("sb", 40u64), ("wrc", 24), ("podwr001", 14), ("mp", 48)] {
@@ -1243,7 +1169,6 @@ mod tests {
             let again = counter.count(&CountRequest::new(&bufs, n));
             assert_eq!(first.counts, again.counts, "{name}");
             assert_eq!(first.frames_examined, again.frames_examined, "{name}");
-            assert_eq!(first.evals, again.evals, "{name}");
         }
     }
 
@@ -1344,7 +1269,7 @@ mod tests {
         let zero = RfCounter::single(&conv.target_exhaustive)
             .count(&CountRequest::new(&bufs, n).with_budget(&dead));
         assert!(zero.budget_expired);
-        assert_eq!(zero.total(), 0);
+        assert_eq!(zero.counts, [0]);
         assert_eq!(zero.frames_examined, 0);
     }
 
@@ -1364,16 +1289,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_iterations_and_empty_outcomes_are_degenerate() {
+    fn zero_iterations_are_degenerate() {
         let test = suite::sb();
         let conv = Conversion::convert(&test).unwrap();
         let bufs: Vec<&[u64]> = vec![&[], &[]];
         let r = RfCounter::single(&conv.target_exhaustive).count(&CountRequest::new(&bufs, 0));
-        assert_eq!(r.total(), 0);
+        assert_eq!(r.counts, [0]);
         assert_eq!(r.frames_examined, 0);
-        let none = RfCounter::new(&[]).count(&CountRequest::new(&bufs, 5));
-        assert!(none.counts.is_empty());
-        assert_eq!(none.frames_examined, 0);
     }
 
     #[test]

@@ -1499,7 +1499,6 @@ mod tests {
         perple::CountResult {
             counts: vec![4874],
             frames_examined: 100_000_000,
-            evals: 100_000_000,
             wall: std::time::Duration::ZERO,
             truncated,
             budget_expired,

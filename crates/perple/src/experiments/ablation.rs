@@ -112,7 +112,6 @@ pub fn scheduler_sweep(cfg: &ExperimentConfig) -> Vec<SchedulerSweepPoint> {
     // Invariant: sb is the paper's canonical convertible test.
     let conv = Conversion::convert(&test).expect("converts");
     let all = conv.all_outcomes(&test).expect("outcomes");
-    let heus: Vec<_> = all.iter().map(|(_, h)| h.clone()).collect();
     let configs: [(&'static str, SimConfig); 3] = [
         (
             "quiet (no noise)",
@@ -138,12 +137,15 @@ pub fn scheduler_sweep(cfg: &ExperimentConfig) -> Vec<SchedulerSweepPoint> {
             let mut runner = PerpleRunner::new(config);
             let run = runner.run(&conv.perpetual, cfg.iterations);
             let bufs = run.bufs();
-            let counts =
-                HeuristicCounter::each(&heus).count(&CountRequest::new(&bufs, cfg.iterations));
+            let req = CountRequest::new(&bufs, cfg.iterations);
+            let counts: Vec<u64> = all
+                .iter()
+                .map(|(_, h)| HeuristicCounter::single(h).count(&req).counts[0])
+                .collect();
             SchedulerSweepPoint {
                 label,
-                distinct_outcomes: counts.counts.iter().filter(|&&c| c > 0).count(),
-                total_hits: counts.counts.iter().sum(),
+                distinct_outcomes: counts.iter().filter(|&&c| c > 0).count(),
+                total_hits: counts.iter().sum(),
             }
         })
         .collect()

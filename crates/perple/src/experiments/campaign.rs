@@ -906,6 +906,22 @@ mod tests {
     }
 
     #[test]
+    fn hand_written_multi_writer_convertible_tests_are_pinned() {
+        // The convertible tests of the hand-written suite that write some
+        // location from two threads: the perpetual encoding's
+        // index-as-coherence assumption does not hold for them, yet the
+        // suite converts and counts them (DESIGN §5d.4). Growing this set
+        // widens the soundness gap; shrinking it means the suite changed.
+        let mut multi: Vec<String> = suite::convertible()
+            .iter()
+            .filter(|t| !single_writer_locations(t))
+            .map(|t| t.name().to_owned())
+            .collect();
+        multi.sort_unstable();
+        assert_eq!(multi, ["co-iriw", "n4", "n5", "rfi015", "safe012"]);
+    }
+
+    #[test]
     fn allow_lints_and_clean_specs_record_lint_totals_in_the_manifest() {
         // allow_lints on a clean spec changes nothing except that the gate
         // cannot fire; the manifest still records the (all-clear) totals.

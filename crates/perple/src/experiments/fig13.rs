@@ -50,10 +50,12 @@ pub fn fig13(cfg: &ExperimentConfig) -> Vec<Fig13Entry> {
             let mut runner = PerpleRunner::new(SimConfig::default().with_seed(cfg.seed ^ 0xF13));
             let run = runner.run(&conv.perpetual, cfg.iterations);
             let bufs = run.bufs();
-            let heus: Vec<_> = all.iter().map(|(_, h)| h.clone()).collect();
-            let counts =
-                HeuristicCounter::each(&heus).count(&CountRequest::new(&bufs, cfg.iterations));
-            let perple = VarietyTable::new(labels.clone(), counts.counts);
+            let req = CountRequest::new(&bufs, cfg.iterations);
+            let counts: Vec<u64> = all
+                .iter()
+                .map(|(_, h)| HeuristicCounter::single(h).count(&req).counts[0])
+                .collect();
+            let perple = VarietyTable::new(labels.clone(), counts);
 
             // litmus7 per mode.
             let mut litmus7 = BTreeMap::new();

@@ -344,7 +344,7 @@ pub fn perple_detection(
     };
     Detection {
         occurrences: count.counts[0],
-        time: ModelTime::new(run.exec_cycles, count.evals),
+        time: ModelTime::new(run.exec_cycles, count.frames_examined),
     }
 }
 
@@ -386,11 +386,11 @@ pub fn perple_detection_both_timed(
     (
         Detection {
             occurrences: heur.counts[0],
-            time: ModelTime::new(run.exec_cycles, heur.evals),
+            time: ModelTime::new(run.exec_cycles, heur.frames_examined),
         },
         Detection {
             occurrences: exh.counts[0],
-            time: ModelTime::new(run.exec_cycles, exh.evals),
+            time: ModelTime::new(run.exec_cycles, exh.frames_examined),
         },
         timings,
     )

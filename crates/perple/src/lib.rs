@@ -260,7 +260,10 @@ mod tests {
         let b = b.run(800);
         assert_eq!(a.target_heuristic.counts, b.target_heuristic.counts);
         assert_eq!(a.target_exhaustive.counts, b.target_exhaustive.counts);
-        assert_eq!(a.target_exhaustive.evals, b.target_exhaustive.evals);
+        assert_eq!(
+            a.target_exhaustive.frames_examined,
+            b.target_exhaustive.frames_examined
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! allocates per-byte or depends on anything outside `std`.
 
 use crate::ServeError;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on a request body (campaign specs are a few hundred
 /// bytes; 1 MiB leaves room for generous suites without letting a
@@ -274,6 +274,11 @@ impl Response {
                     let _ = read_line(r); // trailing CRLF after terminator
                     break;
                 }
+                if size > MAX_BODY {
+                    return Err(ServeError::Protocol(format!(
+                        "chunk of {size} bytes exceeds the {MAX_BODY} byte cap"
+                    )));
+                }
                 let mut chunk = vec![0u8; size];
                 r.read_exact(&mut chunk)
                     .map_err(|e| ServeError::Io(e.to_string()))?;
@@ -286,9 +291,20 @@ impl Response {
             let len: usize = len
                 .parse()
                 .map_err(|_| ServeError::Protocol("bad content-length".into()))?;
-            let mut body = vec![0u8; len];
-            r.read_exact(&mut body)
+            // Read through `take`, not into a `len`-sized buffer: memory
+            // follows the bytes that actually arrive, whatever the peer
+            // claims.
+            let mut body = Vec::new();
+            r.by_ref()
+                .take(len as u64)
+                .read_to_end(&mut body)
                 .map_err(|e| ServeError::Io(e.to_string()))?;
+            if body.len() < len {
+                return Err(ServeError::Io(format!(
+                    "body ended after {} of {len} bytes",
+                    body.len()
+                )));
+            }
             feed(&body, &mut pending, on_line);
         } else {
             let mut body = Vec::new();
@@ -380,5 +396,34 @@ mod tests {
         head.read_body_lines(&mut r, &mut |l| lines.push(l.to_string()))
             .unwrap();
         assert_eq!(lines, vec!["{\"error\":\"queue full\"}"]);
+    }
+
+    #[test]
+    fn response_chunks_above_the_body_cap_are_rejected_before_allocating() {
+        let raw = format!(
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\nshort\r\n",
+            MAX_BODY + 1
+        );
+        let mut r = BufReader::new(raw.as_bytes());
+        let head = Response::read_head(&mut r).unwrap();
+        match head.read_body_lines(&mut r, &mut |_| {}) {
+            Err(ServeError::Protocol(msg)) => {
+                assert!(msg.contains(&format!("{MAX_BODY} byte cap")), "{msg}")
+            }
+            other => panic!("expected a Protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn short_content_length_bodies_are_an_io_error() {
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000\r\n\r\n{\"a\":1}\n";
+        let mut r = BufReader::new(&raw[..]);
+        let head = Response::read_head(&mut r).unwrap();
+        let mut lines = Vec::new();
+        match head.read_body_lines(&mut r, &mut |l| lines.push(l.to_string())) {
+            Err(ServeError::Io(msg)) => assert!(msg.contains("of 1000000000 bytes"), "{msg}"),
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        assert!(lines.is_empty());
     }
 }

@@ -46,10 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Full outcome variety.
     let all = conv.all_outcomes(&sb)?;
-    let heus: Vec<_> = all.iter().map(|(_, h)| h.clone()).collect();
-    let variety = HeuristicCounter::each(&heus).count(&CountRequest::new(&bufs, iterations));
+    let req = CountRequest::new(&bufs, iterations);
     println!("outcome variety (per-outcome frame sampling):");
-    for ((o, _), c) in all.iter().zip(&variety.counts) {
+    for (o, h) in &all {
+        let c = HeuristicCounter::single(h).count(&req).counts[0];
         println!("  {:>4}: {c}", o.label());
     }
 

@@ -28,7 +28,7 @@ struct PipelineResult {
     heuristic: Vec<u64>,
     exhaustive: Vec<u64>,
     frames_examined: u64,
-    evals: u64,
+    pivots: u64,
 }
 
 /// Full pipeline — convert, simulate, count — with no wall-clock fields in
@@ -48,7 +48,7 @@ fn run_pipeline(name: &str, seed: u64, n: u64) -> PipelineResult {
         heuristic: h.counts,
         exhaustive: x.counts,
         frames_examined: x.frames_examined,
-        evals: h.evals + x.evals,
+        pivots: h.frames_examined,
     }
 }
 
