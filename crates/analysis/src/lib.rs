@@ -16,9 +16,6 @@
 //! * [`variety`] — per-outcome occurrence tables (Figure 13);
 //! * [`metrics`] — target-outcome detection rates and relative improvements
 //!   (Figure 11), model-time accounting;
-//! * [`modelmine`] — inference of the machine's program-order relaxations
-//!   from observed targets (the §II-B1 "formulating a formal description"
-//!   use case);
 //! * [`stats`] — histograms, probability densities, geometric means;
 //! * [`jsonout`] — the shared zero-dependency, byte-stable JSON writer and
 //!   parser every report and store writer in the workspace uses.
@@ -59,7 +56,6 @@
 pub mod count;
 pub mod jsonout;
 pub mod metrics;
-pub mod modelmine;
 pub mod rf;
 pub mod skew;
 pub mod stats;

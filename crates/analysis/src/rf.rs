@@ -72,7 +72,7 @@
 //! # Semantics pinned to the exhaustive counter
 //!
 //! The differential suite (`tests/counter_equivalence.rs`) proves the
-//! count bit-identical to [`ExhaustiveCounter`] for every outcome. Three
+//! count bit-identical to [`ExhaustiveCounter`](crate::count::ExhaustiveCounter) for every outcome. Three
 //! deliberate differences in the *policy* fields:
 //!
 //! * `frames_examined` reports the work the rf counter actually
@@ -89,8 +89,8 @@
 //!   exactly like the exhaustive counter it is.)
 //! * a [`Budget`] bounds the **admitted iteration prefix**, not the
 //!   closure: the counter admits iterations in deterministic
-//!   [`RF_POLL_INTERVAL`] blocks while the budget lasts, then counts the
-//!   admitted prefix `M` exactly. The truncated result equals the full
+//!   1024-iteration blocks (`RF_POLL_INTERVAL`) while the budget lasts,
+//!   then counts the admitted prefix `M` exactly. The truncated result equals the full
 //!   rf/exhaustive count at `n = M` — a provable prefix, with
 //!   `budget_expired` set iff `M < N`.
 

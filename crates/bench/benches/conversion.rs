@@ -40,10 +40,8 @@ fn main() {
         let conv = Conversion::convert(&test).expect("converts");
         bench.run("codegen/sb", || {
             let asm = perple_convert::codegen::emit_thread_asm(&conv.perpetual);
-            let count = perple_convert::codegen::emit_count_c(
-                &conv.perpetual,
-                std::slice::from_ref(&conv.target_exhaustive),
-            );
+            let count =
+                perple_convert::codegen::emit_count_c(&conv.perpetual, &conv.target_exhaustive);
             (asm, count)
         });
     }

@@ -44,7 +44,7 @@ pub enum CrashKind {
     Abort,
     /// Fail the first `failures` attempts of the operation with a
     /// transient error; the bounded-backoff retry loop absorbs up to
-    /// [`MAX_RETRIES`] of them.
+    /// `MAX_RETRIES` (3) of them.
     Transient {
         /// How many attempts fail before the operation succeeds.
         failures: u32,

@@ -268,7 +268,7 @@ impl RunStore {
     ///
     /// # Errors
     /// [`CampaignError::Storage`] with [`StorageKind::Contention`] if the
-    /// reservation loses the race [`RESERVE_ATTEMPTS`] times in a row.
+    /// reservation loses the race `RESERVE_ATTEMPTS` (32) times in a row.
     pub fn begin_run(&self, name: &str) -> Result<String, CampaignError> {
         for _ in 0..RESERVE_ATTEMPTS {
             let id = self.next_run_id(name);

@@ -36,14 +36,8 @@ impl ArtifactBundle {
             target_label: conv.target_exhaustive.label().to_owned(),
             thread_asm: codegen::emit_thread_asm(&conv.perpetual),
             params: codegen::emit_params(&conv.perpetual),
-            count_c: codegen::emit_count_c(
-                &conv.perpetual,
-                std::slice::from_ref(&conv.target_exhaustive),
-            ),
-            counth_c: codegen::emit_counth_c(
-                &conv.perpetual,
-                std::slice::from_ref(&conv.target_heuristic),
-            ),
+            count_c: codegen::emit_count_c(&conv.perpetual, &conv.target_exhaustive),
+            counth_c: codegen::emit_counth_c(&conv.perpetual, &conv.target_heuristic),
         }
     }
 

@@ -245,11 +245,11 @@ fn cond_expr(cond: &PerpCond, exist_names: &[String]) -> String {
 }
 
 /// Emits the C source of the exhaustive outcome counter (`COUNT`,
-/// Algorithm 1) for a set of perpetual outcomes of interest.
+/// Algorithm 1) for one perpetual outcome of interest.
 ///
 /// Existential writer indices (store-only threads) appear as an inner
 /// feasibility search, written as a `for` scan for readability.
-pub fn emit_count_c(perp: &PerpetualTest, outcomes: &[PerpetualOutcome]) -> String {
+pub fn emit_count_c(perp: &PerpetualTest, outcome: &PerpetualOutcome) -> String {
     let tl = perp.load_thread_count();
     let mut s = String::new();
     let _ = writeln!(s, "/* exhaustive outcome counter for {} */", perp.name());
@@ -257,61 +257,49 @@ pub fn emit_count_c(perp: &PerpetualTest, outcomes: &[PerpetualOutcome]) -> Stri
     let bufs: Vec<String> = (0..tl).map(|i| format!("const uint64_t *buf{i}")).collect();
     let _ = writeln!(
         s,
-        "void COUNT(uint64_t N, {}, uint64_t counts[{}]) {{",
-        bufs.join(", "),
-        outcomes.len()
+        "void COUNT(uint64_t N, {}, uint64_t counts[1]) {{",
+        bufs.join(", ")
     );
-    for o in 0..outcomes.len() {
-        let _ = writeln!(s, "    counts[{o}] = 0;");
-    }
+    let _ = writeln!(s, "    counts[0] = 0;");
     for p in 0..tl {
         let indent = "    ".repeat(p + 1);
         let _ = writeln!(s, "{indent}for (uint64_t n{p} = 0; n{p} < N; n{p}++) {{");
     }
     let indent = "    ".repeat(tl + 1);
-    for (o, outcome) in outcomes.iter().enumerate() {
-        let exist_names: Vec<String> = outcome
-            .exist_threads()
-            .iter()
-            .map(|t: &ThreadId| format!("m{}", t.0))
-            .collect();
-        let keyword = if o == 0 { "if" } else { "else if" };
-        if exist_names.is_empty() {
-            let body: Vec<String> = outcome
-                .conds()
-                .iter()
-                .map(|c| cond_expr(c, &exist_names))
-                .collect();
+    let exist_names: Vec<String> = outcome
+        .exist_threads()
+        .iter()
+        .map(|t: &ThreadId| format!("m{}", t.0))
+        .collect();
+    let body: Vec<String> = outcome
+        .conds()
+        .iter()
+        .map(|c| cond_expr(c, &exist_names))
+        .collect();
+    if exist_names.is_empty() {
+        let _ = writeln!(
+            s,
+            "{indent}if ({}) /* p_out_0: {} */",
+            body.join(" && "),
+            outcome.label()
+        );
+    } else {
+        // Existential feasibility scan.
+        let _ = writeln!(
+            s,
+            "{indent}if (({{ int hit = 0; /* p_out_0: {} */",
+            outcome.label()
+        );
+        for e in &exist_names {
             let _ = writeln!(
                 s,
-                "{indent}{keyword} ({}) /* p_out_{o}: {} */",
-                body.join(" && "),
-                outcome.label()
+                "{indent}    for (uint64_t {e} = 0; {e} < N && !hit; {e}++)"
             );
-            let _ = writeln!(s, "{indent}    counts[{o}]++;");
-        } else {
-            // Existential feasibility scan.
-            let _ = writeln!(
-                s,
-                "{indent}{keyword} (({{ int hit = 0; /* p_out_{o}: {} */",
-                outcome.label()
-            );
-            for e in &exist_names {
-                let _ = writeln!(
-                    s,
-                    "{indent}    for (uint64_t {e} = 0; {e} < N && !hit; {e}++)"
-                );
-            }
-            let body: Vec<String> = outcome
-                .conds()
-                .iter()
-                .map(|c| cond_expr(c, &exist_names))
-                .collect();
-            let _ = writeln!(s, "{indent}        if ({}) hit = 1;", body.join(" && "));
-            let _ = writeln!(s, "{indent}    hit; }}))");
-            let _ = writeln!(s, "{indent}    counts[{o}]++;");
         }
+        let _ = writeln!(s, "{indent}        if ({}) hit = 1;", body.join(" && "));
+        let _ = writeln!(s, "{indent}    hit; }}))");
     }
+    let _ = writeln!(s, "{indent}    counts[0]++;");
     for p in (0..tl).rev() {
         let indent = "    ".repeat(p + 1);
         let _ = writeln!(s, "{indent}}}");
@@ -321,8 +309,8 @@ pub fn emit_count_c(perp: &PerpetualTest, outcomes: &[PerpetualOutcome]) -> Stri
 }
 
 /// Emits the C source of the heuristic outcome counter (`COUNTH`,
-/// Algorithm 2).
-pub fn emit_counth_c(perp: &PerpetualTest, outcomes: &[HeuristicOutcome]) -> String {
+/// Algorithm 2) for one heuristic outcome.
+pub fn emit_counth_c(perp: &PerpetualTest, outcome: &HeuristicOutcome) -> String {
     let tl = perp.load_thread_count();
     let mut s = String::new();
     let _ = writeln!(s, "/* heuristic outcome counter for {} */", perp.name());
@@ -330,75 +318,69 @@ pub fn emit_counth_c(perp: &PerpetualTest, outcomes: &[HeuristicOutcome]) -> Str
     let bufs: Vec<String> = (0..tl).map(|i| format!("const uint64_t *buf{i}")).collect();
     let _ = writeln!(
         s,
-        "void COUNTH(uint64_t N, {}, uint64_t counts[{}]) {{",
-        bufs.join(", "),
-        outcomes.len()
+        "void COUNTH(uint64_t N, {}, uint64_t counts[1]) {{",
+        bufs.join(", ")
     );
-    for o in 0..outcomes.len() {
-        let _ = writeln!(s, "    counts[{o}] = 0;");
-    }
+    let _ = writeln!(s, "    counts[0] = 0;");
     let _ = writeln!(s, "    for (uint64_t n0 = 0; n0 < N; n0++) {{");
-    for (o, h) in outcomes.iter().enumerate() {
-        let keyword = if o == 0 { "if" } else { "else if" };
-        let _ = writeln!(
-            s,
-            "        {keyword} (p_out_h_{o}(n0, N{})) /* {} */",
-            (0..tl).map(|i| format!(", buf{i}")).collect::<String>(),
-            h.label()
-        );
-        let _ = writeln!(s, "            counts[{o}]++;");
-    }
+    let _ = writeln!(
+        s,
+        "        if (p_out_h_0(n0, N{})) /* {} */",
+        (0..tl).map(|i| format!(", buf{i}")).collect::<String>(),
+        outcome.label()
+    );
+    let _ = writeln!(s, "            counts[0]++;");
     let _ = writeln!(s, "    }}");
     let _ = writeln!(s, "}}");
-    // Emit each p_out_h as its own function with the derivation plan.
-    for (o, h) in outcomes.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "static int p_out_h_{o}(uint64_t n0, uint64_t N{}) {{",
-            (0..tl)
-                .map(|i| format!(", const uint64_t *buf{i}"))
-                .collect::<String>()
-        );
-        for d in h.plan() {
-            let target = match d.target {
-                IdxRef::Frame(p) => format!("n{p}"),
-                IdxRef::Exist(e) => format!("m{e}"),
-            };
-            match d.rule {
-                DeriveRule::FromRf { load, k, a } => {
-                    let val = format!(
-                        "buf{}[{} * n{} + {}]",
-                        load.frame_pos, load.reads_per_iter, load.frame_pos, load.slot
-                    );
-                    let _ = writeln!(
-                        s,
-                        "    if ({val} < {a} || ({val} - {a}) % {k} != 0) return 0;"
-                    );
-                    let _ = writeln!(s, "    uint64_t {target} = ({val} - {a}) / {k};");
-                }
-                DeriveRule::FromFr { load, k, a } => {
-                    let val = format!(
-                        "buf{}[{} * n{} + {}]",
-                        load.frame_pos, load.reads_per_iter, load.frame_pos, load.slot
-                    );
-                    let _ = writeln!(
-                        s,
-                        "    uint64_t {target} = {val} < {a} ? 0 : ({val} - {a}) / {k} + 1;"
-                    );
-                }
-                DeriveRule::Lockstep => {
-                    let _ = writeln!(s, "    uint64_t {target} = n0;");
-                }
+    // Emit p_out_h as its own function with the derivation plan.
+    let _ = writeln!(
+        s,
+        "static int p_out_h_0(uint64_t n0, uint64_t N{}) {{",
+        (0..tl)
+            .map(|i| format!(", const uint64_t *buf{i}"))
+            .collect::<String>()
+    );
+    for d in outcome.plan() {
+        let target = match d.target {
+            IdxRef::Frame(p) => format!("n{p}"),
+            IdxRef::Exist(e) => format!("m{e}"),
+        };
+        match d.rule {
+            DeriveRule::FromRf { load, k, a } => {
+                let val = format!(
+                    "buf{}[{} * n{} + {}]",
+                    load.frame_pos, load.reads_per_iter, load.frame_pos, load.slot
+                );
+                let _ = writeln!(
+                    s,
+                    "    if ({val} < {a} || ({val} - {a}) % {k} != 0) return 0;"
+                );
+                let _ = writeln!(s, "    uint64_t {target} = ({val} - {a}) / {k};");
             }
-            let _ = writeln!(s, "    if ({target} >= N) return 0;");
+            DeriveRule::FromFr { load, k, a } => {
+                let val = format!(
+                    "buf{}[{} * n{} + {}]",
+                    load.frame_pos, load.reads_per_iter, load.frame_pos, load.slot
+                );
+                let _ = writeln!(
+                    s,
+                    "    uint64_t {target} = {val} < {a} ? 0 : ({val} - {a}) / {k} + 1;"
+                );
+            }
+            DeriveRule::Lockstep => {
+                let _ = writeln!(s, "    uint64_t {target} = n0;");
+            }
         }
-        let exist_names: Vec<String> = (0..h.exist_count()).map(|e| format!("m{e}")).collect();
-        for cond in heuristic_conds(h) {
-            let _ = writeln!(s, "    if (!{}) return 0;", cond_expr(&cond, &exist_names));
-        }
-        let _ = writeln!(s, "    return 1;");
-        let _ = writeln!(s, "}}");
+        let _ = writeln!(s, "    if ({target} >= N) return 0;");
     }
+    let exist_names: Vec<String> = (0..outcome.exist_count())
+        .map(|e| format!("m{e}"))
+        .collect();
+    for cond in heuristic_conds(outcome) {
+        let _ = writeln!(s, "    if (!{}) return 0;", cond_expr(&cond, &exist_names));
+    }
+    let _ = writeln!(s, "    return 1;");
+    let _ = writeln!(s, "}}");
     s
 }
 
@@ -485,15 +467,18 @@ mod tests {
     }
 
     #[test]
-    fn count_c_has_nested_loops_and_else_if_chain() {
+    fn count_c_has_nested_loops_and_one_condition_per_outcome() {
         let (perp, outcomes) = sb_parts();
-        let c = emit_count_c(&perp, &outcomes);
-        assert!(c.contains("void COUNT("));
-        assert!(c.contains("for (uint64_t n0 = 0; n0 < N; n0++)"));
-        assert!(c.contains("for (uint64_t n1 = 0; n1 < N; n1++)"));
-        assert!(c.contains("else if"));
-        assert!(c.contains("counts[3]++"));
+        for (o, outcome) in outcomes.iter().enumerate() {
+            let c = emit_count_c(&perp, outcome);
+            assert!(c.contains("void COUNT("));
+            assert!(c.contains("for (uint64_t n0 = 0; n0 < N; n0++)"));
+            assert!(c.contains("for (uint64_t n1 = 0; n1 < N; n1++)"));
+            assert!(!c.contains("else if"), "outcome {o} chained:\n{c}");
+            assert_eq!(c.matches("counts[0]++").count(), 1);
+        }
         // The sb target condition (Figure 6 p_out_0): both fr inequalities.
+        let c = emit_count_c(&perp, &outcomes[0]);
         assert!(c.contains("buf0[1 * n0 + 0] < 1 * (n1) + 1"));
     }
 
@@ -503,23 +488,21 @@ mod tests {
         let kmap = KMap::compute(&t).unwrap();
         let perp = PerpetualTest::convert(&t).unwrap();
         let target = crate::outcomes::PerpetualOutcome::convert_target(&t, &perp, &kmap).unwrap();
-        let c = emit_count_c(&perp, &[target]);
+        let c = emit_count_c(&perp, &target);
         assert!(c.contains("for (uint64_t m0 = 0; m0 < N && !hit; m0++)"));
     }
 
     #[test]
     fn counth_c_contains_derivations() {
         let (perp, outcomes) = sb_parts();
-        let hs: Vec<HeuristicOutcome> = outcomes
-            .iter()
-            .map(|o| HeuristicOutcome::from_perpetual(o, 2))
-            .collect();
-        let c = emit_counth_c(&perp, &hs);
-        assert!(c.contains("void COUNTH("));
-        assert!(c.contains("p_out_h_0"));
-        assert!(c.contains("p_out_h_3"));
-        // Derivation of the partner index from the pivot's loaded value.
-        assert!(c.contains("uint64_t n1 = "));
-        assert!(c.contains("return 1;"));
+        for outcome in &outcomes {
+            let c = emit_counth_c(&perp, &HeuristicOutcome::from_perpetual(outcome, 2));
+            assert!(c.contains("void COUNTH("));
+            assert!(c.contains("p_out_h_0"));
+            assert!(!c.contains("else if"));
+            // Derivation of the partner index from the pivot's loaded value.
+            assert!(c.contains("uint64_t n1 = "));
+            assert!(c.contains("return 1;"));
+        }
     }
 }

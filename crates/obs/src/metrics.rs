@@ -1,7 +1,7 @@
 //! Process-wide event counters and fixed-bucket histograms.
 //!
 //! The registry is **sharded per thread**: the first event a thread
-//! records allocates it a private [`Shard`] of atomic cells, registered
+//! records allocates it a private `Shard` of atomic cells, registered
 //! once under a mutex; every subsequent event is a single relaxed
 //! `fetch_add` on thread-local memory with no shared-cache contention.
 //! [`snapshot`] merges all shards by elementwise addition — the merge is

@@ -9,7 +9,8 @@
 //!                 [--inject PLAN] [--counter C] [--model M] [--json]
 //!                                             whole-suite consistency audit
 //! perple trace    <test-name> [-n N]          event log of a short run
-//! perple infer    [-n N] [--weak]             infer the machine's relaxations
+//! perple infer    [-n N] [--workers W] [--weak] [--model M] [--inject PLAN]
+//!                                             name the machine's model
 //! perple list                                 list the built-in suite
 //! perple lint [--json] [--deny warnings] [--iterations N] [--value-bits B]
 //!             [--model M|all] [--bugfinder]
@@ -47,8 +48,8 @@
 //! cap), or `rf` (exact polynomial reads-from closure — the default for
 //! `run`, `audit` and campaigns).
 //! `--workers W` sizes the suite-level worker pool, so only the
-//! subcommands that run one accept it (`audit`, `serve`); every counter is
-//! one serial scan.
+//! subcommands that run one accept it (`audit`, `infer`, `serve`); every
+//! counter is one serial scan.
 //! `--model` picks the memory model the simulated machine executes —
 //! `sc`, `tso` (default), `pso`, or `relaxed` — and the model verdicts
 //! are checked against (a target forbidden under the selected model that
@@ -65,8 +66,7 @@ use std::process::ExitCode;
 use perple::experiments::resilient::{audit_json, render_audit_text, resilient_audit};
 use perple::experiments::ExperimentConfig;
 use perple::{
-    classify, forbidden_under, Conversion, CounterKind, FaultPlan, ModelId, Perple, PerpleRunner,
-    SimConfig,
+    classify, forbidden_under, Conversion, CounterKind, FaultPlan, ModelId, PerpleRunner, SimConfig,
 };
 use perple_model::{parser, suite, LitmusTest};
 
@@ -99,7 +99,8 @@ fn main() -> ExitCode {
                  \x20                [--inject PLAN] [--counter C] [--model M] [--json]\n\
                  \x20                            run the Table II suite\n\
                  trace    <test> [-n N]      event log of a short run\n\
-                 infer    [-n N] [--weak]    infer the machine's relaxations\n\
+                 infer    [-n N] [--workers W] [--weak] [--model M] [--inject PLAN]\n\
+                 \x20                            name the machine's model from the suite\n\
                  list                        list built-in tests\n\
                  lint     [--json] [--deny warnings] [--model M|all] [--bugfinder]\n\
                  \x20         <test|file>...     static analysis (exit 1 on errors)\n\
@@ -124,7 +125,7 @@ fn main() -> ExitCode {
                  --retries R      retry failed audit tests with perturbed seeds\n\
                  --inject PLAN    machine fault plan, e.g. drop@t0:100..200:p0.5\n\
                  --counter C      counting backend: exhaustive, heuristic, or rf (default)\n\
-                 --workers W      suite worker pool width (audit, serve)\n\
+                 --workers W      suite worker pool width (audit, infer, serve)\n\
                  --model M        memory model: sc, tso (default), pso, or relaxed\n\
                  --trace FILE     write a Chrome trace_event JSON span trace"
             );
@@ -193,29 +194,9 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let spec = args.first().ok_or("convert needs a test name or file")?;
     let test = load_test(spec)?;
     let conv = Conversion::convert(&test).map_err(|e| e.to_string())?;
-    for (t, asm) in perple_convert::codegen::emit_thread_asm(&conv.perpetual)
-        .iter()
-        .enumerate()
-    {
-        println!("==== thread {t} ====\n{asm}");
-    }
-    println!(
-        "==== params ====\n{}",
-        perple_convert::codegen::emit_params(&conv.perpetual)
-    );
-    println!(
-        "==== COUNT.c ====\n{}",
-        perple_convert::codegen::emit_count_c(
-            &conv.perpetual,
-            std::slice::from_ref(&conv.target_exhaustive)
-        )
-    );
-    println!(
-        "==== COUNTH.c ====\n{}",
-        perple_convert::codegen::emit_counth_c(
-            &conv.perpetual,
-            std::slice::from_ref(&conv.target_heuristic)
-        )
+    print!(
+        "{}",
+        perple_convert::artifact::ArtifactBundle::from_conversion(&conv).render_text()
     );
     Ok(())
 }
@@ -226,8 +207,8 @@ struct RunFlags {
     seed: u64,
     weak: bool,
     /// Suite-pool width (`--workers N`); `None` keeps the default
-    /// (available parallelism). Only `audit` runs a pool, so the other
-    /// run-style subcommands reject the flag.
+    /// (available parallelism). Only `audit` and `infer` run a pool, so
+    /// the other run-style subcommands reject the flag.
     workers: Option<usize>,
     /// Per-stage watchdog budget (`--timeout-ms T`); `None` = unlimited.
     timeout_ms: Option<u64>,
@@ -274,7 +255,7 @@ impl RunFlags {
         match self.workers {
             Some(_) => Err(format!(
                 "--workers is not accepted by `{cmd}`: it runs no worker pool \
-                 (use it with audit or serve)"
+                 (use it with audit, infer or serve)"
             )),
             None => Ok(()),
         }
@@ -480,13 +461,19 @@ fn count_notes(count: &perple::CountResult) -> Vec<String> {
     notes
 }
 
+/// The configuration of a whole-suite audit (`audit`, `infer`). T_L = 3
+/// suite tests scan N^3 frames exhaustively; cap the scan so the CLI stays
+/// interactive (rows degrade to heuristic counts only on --timeout-ms
+/// expiry, the cap just truncates).
+fn suite_config(flags: &RunFlags) -> Result<ExperimentConfig, String> {
+    let mut cfg = flags.experiment_config()?;
+    cfg.exhaustive_frame_cap = Some(1_000_000);
+    Ok(cfg)
+}
+
 fn cmd_audit(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
-    let mut cfg = flags.experiment_config()?;
-    // T_L = 3 suite tests scan N^3 frames exhaustively; cap the scan so the
-    // CLI audit stays interactive (rows degrade to heuristic counts only on
-    // --timeout-ms expiry, the cap just truncates).
-    cfg.exhaustive_frame_cap = Some(1_000_000);
+    let cfg = suite_config(&flags)?;
     let report = resilient_audit(&cfg);
     let mut violations = 0;
     for (row, test) in report.results.iter().zip(suite::convertible()) {
@@ -536,24 +523,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_infer(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    flags.reject_workers("infer")?;
-    let config = SimConfig::default()
-        .with_seed(flags.seed)
-        .with_weak_store_order(flags.weak)
-        .with_model(flags.model.unwrap_or_default());
-    let mut observations = Vec::new();
-    for r in perple::modelmine::Relaxation::ALL {
-        let name = r.revealing_test();
-        let test = suite::by_name(name).ok_or("suite test missing")?;
-        let mut engine = Perple::with_config(&test, config.clone()).map_err(|e| e.to_string())?;
-        let (_, count) = engine.run_heuristic_only(flags.n);
-        observations.push((name, count.counts[0]));
-    }
-    let model = perple::modelmine::InferredModel::from_observations(
-        observations.iter().map(|&(n, c)| (n, c)),
-    );
-    print!("{}", model.render());
+    let cfg = suite_config(&parse_flags(args)?)?;
+    print!("{}", perple::experiments::infer::infer(&cfg).render());
     Ok(())
 }
 

@@ -23,7 +23,7 @@
 //! An item named `sb#2` runs under
 //! `attempt_seed(derive_seed(BASE, "sb#2", "campaign"), 0)` — a pure
 //! function of the test name and the spec-level seed, independent of the
-//! process, item order, and worker count. The item [`fingerprint`] feeds
+//! process, item order, and worker count. The item [`fingerprint`](item_fingerprint) feeds
 //! every behavioural input (litmus source text, conversion pipeline
 //! version, the derived-seed simulator descriptor including fault plan,
 //! iterations, frame cap, watchdog) so cache hits are exactly the runs

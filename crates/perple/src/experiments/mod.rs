@@ -14,6 +14,7 @@
 //! | §VII-G (overall impact on the 88-test suite) | [`overall`] |
 //! | extension: bug hunt on a faulty machine | [`bugfinder`] |
 //! | extension: design-choice ablations | [`ablation`] |
+//! | extension: model inference (§II-B1) | [`infer`] |
 
 pub mod ablation;
 pub mod bugfinder;
@@ -23,6 +24,7 @@ pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod fig9;
+pub mod infer;
 pub mod overall;
 pub mod pool;
 pub mod resilient;

@@ -53,7 +53,7 @@ pub use perple_analysis::count::{
     CountRequest, CountResult, Counter, CounterKind, ExhaustiveCounter, HeuristicCounter,
 };
 pub use perple_analysis::rf::RfCounter;
-pub use perple_analysis::{jsonout, metrics, modelmine, skew, stats, variety};
+pub use perple_analysis::{jsonout, metrics, skew, stats, variety};
 pub use perple_campaign as campaign;
 pub use perple_convert::{
     Conversion, ConvertError, HeuristicOutcome, PerpetualOutcome, PerpetualTest,

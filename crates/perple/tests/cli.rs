@@ -105,7 +105,6 @@ fn workers_is_rejected_where_no_pool_runs() {
     for args in [
         &["run", "sb", "-n", "50", "--workers", "2"][..],
         &["trace", "sb", "-n", "2", "--workers", "2"],
-        &["infer", "-n", "50", "--workers", "2"],
     ] {
         let out = perple(args);
         assert!(!out.status.success(), "{args:?}");
@@ -115,12 +114,17 @@ fn workers_is_rejected_where_no_pool_runs() {
             "{args:?}: {err}"
         );
     }
-    let out = perple(&["audit", "-n", "60", "--workers", "2"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    for args in [
+        &["audit", "-n", "60", "--workers", "2"][..],
+        &["infer", "-n", "60", "--workers", "2"],
+    ] {
+        let out = perple(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]
@@ -154,16 +158,42 @@ fn trace_produces_an_event_log() {
     assert!(text.contains("cycles"));
 }
 
-#[test]
-fn infer_names_tso_and_pso() {
-    let out = perple(&["infer", "-n", "4000"]);
-    assert!(out.status.success());
+/// The model `perple infer` names: the first word after
+/// `inferred model: `.
+fn inferred_model(args: &[&str]) -> String {
+    let out = perple(args);
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("closest textbook model: TSO"), "{text}");
+    text.lines()
+        .find_map(|l| l.strip_prefix("inferred model: "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("{args:?}: no model line in {text}"))
+        .to_owned()
+}
 
-    let out = perple(&["infer", "-n", "4000", "--weak"]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("closest textbook model: PSO"), "{text}");
+#[test]
+fn infer_names_the_machine_model() {
+    // Default iteration count and seed: each machine is named exactly.
+    for model in ["sc", "tso", "pso", "relaxed"] {
+        assert_eq!(inferred_model(&["infer", "--model", model]), model);
+    }
+    // The weak-store-order machine reorders stores: PSO, not TSO.
+    assert_eq!(inferred_model(&["infer", "--weak"]), "pso");
+}
+
+#[test]
+fn infer_under_a_fault_plan_names_no_model_stronger_than_the_machine() {
+    // Corrupted values read as targets no model allows ("none"); what the
+    // run may never do is name SC for a TSO machine.
+    let named = inferred_model(&["infer", "--inject", "corrupt@*:0..4000"]);
+    assert!(
+        ["none", "tso", "pso", "relaxed"].contains(&named.as_str()),
+        "a faulty tso machine was named {named}"
+    );
 }
 
 #[test]

@@ -248,20 +248,17 @@ impl Response {
     /// `Transfer-Encoding: chunked`, else `Content-Length`, else until
     /// EOF. Calls `on_line` for every complete `\n`-terminated line as
     /// it arrives (and once for a trailing unterminated line).
+    ///
+    /// Every form is read in bounded pieces, so memory follows the longest
+    /// line, not the body: a line longer than [`MAX_BODY`] is a
+    /// [`ServeError::Protocol`], while the total length is unbounded
+    /// (result streams are legitimately long).
     pub fn read_body_lines(
         &self,
         r: &mut impl BufRead,
         on_line: &mut dyn FnMut(&str),
     ) -> Result<(), ServeError> {
         let mut pending: Vec<u8> = Vec::new();
-        let feed = |data: &[u8], pending: &mut Vec<u8>, on_line: &mut dyn FnMut(&str)| {
-            pending.extend_from_slice(data);
-            while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = pending.drain(..=pos).collect();
-                let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-                on_line(text.trim_end_matches('\r'));
-            }
-        };
         if self
             .header("transfer-encoding")
             .is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
@@ -279,44 +276,68 @@ impl Response {
                         "chunk of {size} bytes exceeds the {MAX_BODY} byte cap"
                     )));
                 }
-                let mut chunk = vec![0u8; size];
-                r.read_exact(&mut chunk)
-                    .map_err(|e| ServeError::Io(e.to_string()))?;
+                let got = feed(&mut r.by_ref().take(size as u64), &mut pending, on_line)?;
+                if got < size as u64 {
+                    return Err(ServeError::Io(format!(
+                        "chunk ended after {got} of {size} bytes"
+                    )));
+                }
                 let mut crlf = [0u8; 2];
                 r.read_exact(&mut crlf)
                     .map_err(|e| ServeError::Io(e.to_string()))?;
-                feed(&chunk, &mut pending, on_line);
             }
         } else if let Some(len) = self.header("content-length") {
-            let len: usize = len
+            let len: u64 = len
                 .parse()
                 .map_err(|_| ServeError::Protocol("bad content-length".into()))?;
-            // Read through `take`, not into a `len`-sized buffer: memory
-            // follows the bytes that actually arrive, whatever the peer
-            // claims.
-            let mut body = Vec::new();
-            r.by_ref()
-                .take(len as u64)
-                .read_to_end(&mut body)
-                .map_err(|e| ServeError::Io(e.to_string()))?;
-            if body.len() < len {
+            let got = feed(&mut r.by_ref().take(len), &mut pending, on_line)?;
+            if got < len {
                 return Err(ServeError::Io(format!(
-                    "body ended after {} of {len} bytes",
-                    body.len()
+                    "body ended after {got} of {len} bytes"
                 )));
             }
-            feed(&body, &mut pending, on_line);
         } else {
-            let mut body = Vec::new();
-            r.read_to_end(&mut body)
-                .map_err(|e| ServeError::Io(e.to_string()))?;
-            feed(&body, &mut pending, on_line);
+            feed(r, &mut pending, on_line)?;
         }
         if !pending.is_empty() {
             let text = String::from_utf8_lossy(&pending).to_string();
             on_line(text.trim_end_matches('\r'));
         }
         Ok(())
+    }
+}
+
+/// Reads `src` to EOF in bounded pieces, calling `on_line` for every
+/// complete line and keeping the unterminated tail in `pending`. Returns
+/// the number of bytes read.
+fn feed(
+    src: &mut impl Read,
+    pending: &mut Vec<u8>,
+    on_line: &mut dyn FnMut(&str),
+) -> Result<u64, ServeError> {
+    let mut piece = [0u8; 8 * 1024];
+    let mut total = 0u64;
+    loop {
+        let n = match src.read(&mut piece) {
+            Ok(0) => return Ok(total),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(ServeError::Io(e.to_string())),
+        };
+        total += n as u64;
+        let mut rest = &piece[..n];
+        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
+            pending.extend_from_slice(&rest[..pos]);
+            on_line(String::from_utf8_lossy(pending).trim_end_matches('\r'));
+            pending.clear();
+            rest = &rest[pos + 1..];
+        }
+        pending.extend_from_slice(rest);
+        if pending.len() > MAX_BODY {
+            return Err(ServeError::Protocol(format!(
+                "line exceeds the {MAX_BODY} byte cap"
+            )));
+        }
     }
 }
 
@@ -424,6 +445,46 @@ mod tests {
             Err(ServeError::Io(msg)) => assert!(msg.contains("of 1000000000 bytes"), "{msg}"),
             other => panic!("expected an Io error, got {other:?}"),
         }
-        assert!(lines.is_empty());
+        // Lines stream as they arrive; the short body is reported after.
+        assert_eq!(lines, vec!["{\"a\":1}"]);
+    }
+
+    #[test]
+    fn an_unterminated_line_above_the_cap_is_rejected() {
+        let mut raw = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
+        raw.resize(raw.len() + MAX_BODY + 1, b'x');
+        let mut r = BufReader::new(&raw[..]);
+        let head = Response::read_head(&mut r).unwrap();
+        let mut lines = 0;
+        match head.read_body_lines(&mut r, &mut |_| lines += 1) {
+            Err(ServeError::Protocol(msg)) => {
+                assert!(msg.contains(&format!("{MAX_BODY} byte cap")), "{msg}")
+            }
+            other => panic!("expected a Protocol error, got {other:?}"),
+        }
+        assert_eq!(lines, 0);
+    }
+
+    #[test]
+    fn many_short_lines_may_total_more_than_the_cap() {
+        let line = format!("{{\"record\":\"{}\"}}\n", "y".repeat(100));
+        let count = MAX_BODY / line.len() + 2;
+        let body = line.repeat(count);
+        assert!(body.len() > MAX_BODY);
+        for head in [
+            "HTTP/1.1 200 OK\r\n\r\n".to_owned(),
+            format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", body.len()),
+        ] {
+            let raw = format!("{head}{body}");
+            let mut r = BufReader::new(raw.as_bytes());
+            let head = Response::read_head(&mut r).unwrap();
+            let mut seen = 0;
+            head.read_body_lines(&mut r, &mut |l| {
+                assert_eq!(l, line.trim_end());
+                seen += 1;
+            })
+            .unwrap();
+            assert_eq!(seen, count);
+        }
     }
 }

@@ -277,9 +277,9 @@ impl Machine {
         self.run_impl(threads, init_mem, &mut NoTrace, None)
     }
 
-    /// Like [`Machine::run`] but polling `budget` every
-    /// [`BUDGET_POLL_INTERVAL`] cycles. If the budget expires the run stops
-    /// early with `complete == false`; everything executed up to that point
+    /// Like [`Machine::run`] but polling `budget` every 64 cycles
+    /// (`BUDGET_POLL_INTERVAL`). If the budget expires the run stops early
+    /// with `complete == false`; everything executed up to that point
     /// is identical to the corresponding unbudgeted run, so the partial
     /// buffers are exact prefixes of the full run's buffers.
     pub fn run_budgeted(

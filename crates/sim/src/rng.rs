@@ -92,7 +92,7 @@ impl XorShiftStar {
         u < p
     }
 
-    /// Bernoulli draw against a precomputed [`Threshold`]: the same draws
+    /// Bernoulli draw against a precomputed `Threshold`: the same draws
     /// and results as [`XorShiftStar::chance`] of its probability.
     #[inline]
     pub fn hits(&mut self, threshold: Threshold) -> bool {

@@ -1,7 +1,7 @@
 //! Converter CLI: parse a litmus7-format test (from a file or stdin) and
 //! emit the paper's Converter artifacts — per-thread perpetual x86
-//! assembly, the C sources of `COUNT` and `COUNTH`, and the `t<i>_reads`
-//! parameter file (§V-A).
+//! assembly, the `t<i>_reads` parameter file, and one `COUNT` and one
+//! `COUNTH` C source per outcome (§V-A).
 //!
 //! ```text
 //! cargo run --release --example converter_cli -- path/to/test.litmus
@@ -10,7 +10,7 @@
 
 use std::io::Read as _;
 
-use perple_convert::{codegen, Conversion, HeuristicOutcome};
+use perple_convert::{codegen, Conversion};
 use perple_model::parser;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -55,20 +55,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("==== {}_params ====", test.name());
     println!("{}", codegen::emit_params(&conv.perpetual));
 
-    let all = conv.all_outcomes(&test)?;
-    let outcomes: Vec<_> = all.iter().map(|(o, _)| o.clone()).collect();
-    let heuristics: Vec<HeuristicOutcome> = all.into_iter().map(|(_, h)| h).collect();
+    // One COUNT/COUNTH per outcome: each counts its own matching frames,
+    // so a frame matching two outcomes is credited to both.
+    for (o, (outcome, heuristic)) in conv.all_outcomes(&test)?.iter().enumerate() {
+        println!(
+            "==== {}_count_{o}.c (exhaustive outcome counter) ====",
+            test.name()
+        );
+        println!("{}", codegen::emit_count_c(&conv.perpetual, outcome));
 
-    println!(
-        "==== {}_count.c (exhaustive outcome counter) ====",
-        test.name()
-    );
-    println!("{}", codegen::emit_count_c(&conv.perpetual, &outcomes));
-
-    println!(
-        "==== {}_counth.c (heuristic outcome counter) ====",
-        test.name()
-    );
-    println!("{}", codegen::emit_counth_c(&conv.perpetual, &heuristics));
+        println!(
+            "==== {}_counth_{o}.c (heuristic outcome counter) ====",
+            test.name()
+        );
+        println!("{}", codegen::emit_counth_c(&conv.perpetual, heuristic));
+    }
     Ok(())
 }

@@ -30,34 +30,45 @@ fn every_convertible_test_emits_complete_artifacts() {
             );
         }
 
-        let all = conv.all_outcomes(&test).expect("outcomes convert");
-        let outcomes: Vec<_> = all.iter().map(|(o, _)| o.clone()).collect();
-        let heuristics: Vec<_> = all.iter().map(|(_, h)| h.clone()).collect();
-        let count_c = codegen::emit_count_c(&conv.perpetual, &outcomes);
-        let counth_c = codegen::emit_counth_c(&conv.perpetual, &heuristics);
-        assert!(count_c.contains("void COUNT("), "{}", test.name());
-        assert!(counth_c.contains("void COUNTH("), "{}", test.name());
-        // One nested loop per load-performing thread in COUNT.
-        for p in 0..test.load_thread_count() {
+        // One COUNT and one COUNTH per outcome.
+        for (o, (outcome, heuristic)) in conv
+            .all_outcomes(&test)
+            .expect("outcomes convert")
+            .iter()
+            .enumerate()
+        {
+            let count_c = codegen::emit_count_c(&conv.perpetual, outcome);
+            let counth_c = codegen::emit_counth_c(&conv.perpetual, heuristic);
+            assert!(count_c.contains("void COUNT("), "{} #{o}", test.name());
+            assert!(counth_c.contains("void COUNTH("), "{} #{o}", test.name());
+            // One nested loop per load-performing thread in COUNT.
+            for p in 0..test.load_thread_count() {
+                assert!(
+                    count_c.contains(&format!("for (uint64_t n{p} = 0; n{p} < N; n{p}++)")),
+                    "{} #{o}: COUNT missing loop over n{p}",
+                    test.name()
+                );
+            }
+            // Each counter tests exactly its one outcome: no else-if chain.
+            for (name, src) in [("COUNT", &count_c), ("COUNTH", &counth_c)] {
+                assert!(!src.contains("else if"), "{} #{o}: {name}", test.name());
+            }
             assert!(
-                count_c.contains(&format!("for (uint64_t n{p} = 0; n{p} < N; n{p}++)")),
-                "{}: COUNT missing loop over n{p}",
+                counth_c.contains("p_out_h_0"),
+                "{} #{o}: COUNTH missing p_out_h_0",
                 test.name()
             );
-        }
-        // One p_out_h function per outcome in COUNTH.
-        for o in 0..heuristics.len() {
-            assert!(
-                counth_c.contains(&format!("p_out_h_{o}")),
-                "{}: COUNTH missing p_out_h_{o}",
-                test.name()
-            );
-        }
-        // Balanced braces: cheap well-formedness check on the C output.
-        for (name, src) in [("COUNT", &count_c), ("COUNTH", &counth_c)] {
-            let open = src.matches('{').count();
-            let close = src.matches('}').count();
-            assert_eq!(open, close, "{}: unbalanced braces in {name}", test.name());
+            // Balanced braces: cheap well-formedness check on the C output.
+            for (name, src) in [("COUNT", &count_c), ("COUNTH", &counth_c)] {
+                let open = src.matches('{').count();
+                let close = src.matches('}').count();
+                assert_eq!(
+                    open,
+                    close,
+                    "{} #{o}: unbalanced braces in {name}",
+                    test.name()
+                );
+            }
         }
     }
 }
@@ -86,17 +97,11 @@ fn existential_scans_only_for_store_only_threads() {
     // index; sb has none: no scan.
     let mp = suite::mp();
     let conv_mp = Conversion::convert(&mp).expect("converts");
-    let c_mp = codegen::emit_count_c(
-        &conv_mp.perpetual,
-        std::slice::from_ref(&conv_mp.target_exhaustive),
-    );
+    let c_mp = codegen::emit_count_c(&conv_mp.perpetual, &conv_mp.target_exhaustive);
     assert!(c_mp.contains("m0 = 0; m0 < N && !hit"));
 
     let sb = suite::sb();
     let conv_sb = Conversion::convert(&sb).expect("converts");
-    let c_sb = codegen::emit_count_c(
-        &conv_sb.perpetual,
-        std::slice::from_ref(&conv_sb.target_exhaustive),
-    );
+    let c_sb = codegen::emit_count_c(&conv_sb.perpetual, &conv_sb.target_exhaustive);
     assert!(!c_sb.contains("!hit"));
 }
