@@ -63,6 +63,7 @@
 
 use std::process::ExitCode;
 
+use perple::experiments::infer::Inference;
 use perple::experiments::resilient::{audit_json, render_audit_text, resilient_audit};
 use perple::experiments::ExperimentConfig;
 use perple::{
@@ -464,7 +465,9 @@ fn count_notes(count: &perple::CountResult) -> Vec<String> {
 /// The configuration of a whole-suite audit (`audit`, `infer`). T_L = 3
 /// suite tests scan N^3 frames exhaustively; cap the scan so the CLI stays
 /// interactive (rows degrade to heuristic counts only on --timeout-ms
-/// expiry, the cap just truncates).
+/// expiry, the cap just truncates). Both commands treat a target as
+/// observed when either column counted it ([`Inference::from_report`]),
+/// so a truncated scan loses no heuristic hit.
 fn suite_config(flags: &RunFlags) -> Result<ExperimentConfig, String> {
     let mut cfg = flags.experiment_config()?;
     cfg.exhaustive_frame_cap = Some(1_000_000);
@@ -475,14 +478,11 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let cfg = suite_config(&flags)?;
     let report = resilient_audit(&cfg);
-    let mut violations = 0;
-    for (row, test) in report.results.iter().zip(suite::convertible()) {
-        if let Some(r) = row {
-            if r.heuristic > 0 && forbidden_under(&test, cfg.model) {
-                violations += 1;
-            }
-        }
-    }
+    let violations = Inference::from_report(&report)
+        .evidence
+        .iter()
+        .filter(|e| e.violates(cfg.model))
+        .count();
     if flags.json {
         println!("{}", audit_json(&report));
     } else {
@@ -524,7 +524,10 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 
 fn cmd_infer(args: &[String]) -> Result<(), String> {
     let cfg = suite_config(&parse_flags(args)?)?;
-    print!("{}", perple::experiments::infer::infer(&cfg).render());
+    print!(
+        "{}",
+        Inference::from_report(&resilient_audit(&cfg)).render()
+    );
     Ok(())
 }
 

@@ -4,16 +4,15 @@
 //! The audit counts every convertible suite test's target on the machine
 //! under test; the solver's per-model verdicts on each observed target
 //! place it in the SC ⊆ TSO ⊆ PSO ⊆ relaxed lattice. The inferred model is
-//! the strongest one allowing every observed target, read off the same
-//! verdicts the audit's violation gate uses, so no second statement of
-//! what each model allows exists.
+//! the strongest one allowing every observed target. `perple audit` reads
+//! its violations off the same [`Inference`] ([`Evidence::violates`]), so
+//! one loop decides what was observed and what each model allows.
 
 use std::fmt::Write as _;
 
 use perple_model::{suite, ModelId};
 
-use super::resilient::resilient_audit;
-use super::ExperimentConfig;
+use super::resilient::{AuditRow, SuiteReport};
 use crate::forbidden_under;
 
 /// One observed target: a suite test whose target outcome fired.
@@ -21,12 +20,23 @@ use crate::forbidden_under;
 pub struct Evidence {
     /// Test name.
     pub name: String,
-    /// Target occurrences from the configured counter
-    /// ([`ExperimentConfig::counter`]).
+    /// Target occurrences: the larger of the heuristic count and the
+    /// configured counter's ([`super::ExperimentConfig::counter`]).
+    /// Heuristic hits are real frames, so a frame-capped exhaustive scan
+    /// that missed them still leaves the target observed.
     pub count: u64,
     /// The strongest model allowing the target; `None` when every model
     /// forbids it (a machine fault or an unsound conversion).
     pub strongest: Option<ModelId>,
+}
+
+impl Evidence {
+    /// True iff `model` forbids this observed target. The lattice is
+    /// monotone, so a model forbids it exactly when it is stronger than
+    /// the strongest model allowing it.
+    pub fn violates(&self, model: ModelId) -> bool {
+        self.strongest.is_none_or(|s| s > model)
+    }
 }
 
 /// What one audit says about the machine's model.
@@ -59,17 +69,24 @@ impl Inference {
                 "inferred model: none (observed targets violate every model)"
             ),
         };
-        let (allowed, violating): (Vec<_>, Vec<_>) =
-            self.evidence.iter().partition(|e| e.strongest.is_some());
+        let allowed: Vec<_> = self
+            .evidence
+            .iter()
+            .filter_map(|e| Some((e, e.strongest?)))
+            .collect();
         let _ = writeln!(
             s,
             "evidence: {} observed targets (test, hits, strongest model allowing it)",
             allowed.len()
         );
-        for e in allowed {
-            let m = e.strongest.map_or("-", ModelId::name);
-            let _ = writeln!(s, "  {:<12} {:>9}  {m}", e.name, e.count);
+        for (e, m) in allowed {
+            let _ = writeln!(s, "  {:<12} {:>9}  {}", e.name, e.count, m.name());
         }
+        let violating: Vec<_> = self
+            .evidence
+            .iter()
+            .filter(|e| e.strongest.is_none())
+            .collect();
         if !violating.is_empty() {
             let _ = writeln!(
                 s,
@@ -84,41 +101,42 @@ impl Inference {
         }
         s
     }
-}
 
-/// Audits the convertible suite under `cfg` (pool, model, weak machine,
-/// fault plan, watchdog, retries and counter all apply) and places every
-/// observed target in the model lattice.
-pub fn infer(cfg: &ExperimentConfig) -> Inference {
-    let report = resilient_audit(cfg);
-    let evidence = suite::convertible()
-        .iter()
-        .zip(&report.results)
-        .filter_map(|(test, row)| {
-            let row = row.as_ref().filter(|r| r.exhaustive > 0)?;
-            Some(Evidence {
-                name: row.name.clone(),
-                count: row.exhaustive,
-                strongest: ModelId::ALL
-                    .into_iter()
-                    .find(|&m| !forbidden_under(test, m)),
+    /// Places every observed target of an audit of the convertible suite
+    /// ([`super::resilient::resilient_audit`]) in the model lattice.
+    pub fn from_report(report: &SuiteReport<AuditRow>) -> Inference {
+        let evidence = suite::convertible()
+            .iter()
+            .zip(&report.results)
+            .filter_map(|(test, row)| {
+                let row = row.as_ref()?;
+                let count = row.heuristic.max(row.exhaustive);
+                (count > 0).then(|| Evidence {
+                    name: row.name.clone(),
+                    count,
+                    strongest: ModelId::ALL
+                        .into_iter()
+                        .find(|&m| !forbidden_under(test, m)),
+                })
             })
-        })
-        .collect();
-    let quarantined = report
-        .quarantined()
-        .iter()
-        .map(|item| item.name.clone())
-        .collect();
-    Inference {
-        evidence,
-        quarantined,
+            .collect();
+        let quarantined = report
+            .quarantined()
+            .iter()
+            .map(|item| item.name.clone())
+            .collect();
+        Inference {
+            evidence,
+            quarantined,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::resilient::resilient_audit;
+    use crate::experiments::ExperimentConfig;
 
     fn evidence(name: &str, strongest: Option<ModelId>) -> Evidence {
         Evidence {
@@ -138,8 +156,12 @@ mod tests {
         inf.evidence.push(evidence("sb", Some(ModelId::Tso)));
         inf.evidence.push(evidence("mp", Some(ModelId::Pso)));
         assert_eq!(inf.model(), Some(ModelId::Pso));
+        assert!(inf.evidence[1].violates(ModelId::Tso));
+        assert!(!inf.evidence[1].violates(ModelId::Pso));
+        assert!(!inf.evidence[1].violates(ModelId::Relaxed));
         inf.evidence.push(evidence("amd5", None));
         assert_eq!(inf.model(), None, "one violation names no model");
+        assert!(inf.evidence[2].violates(ModelId::Relaxed));
         inf.quarantined.push("lb".to_owned());
         let text = inf.render();
         assert!(text.starts_with("inferred model: none"), "{text}");
@@ -153,7 +175,7 @@ mod tests {
             .with_iterations(150)
             .with_workers(4);
         for machine in ModelId::ALL {
-            let inf = infer(&cfg.clone().with_model(machine));
+            let inf = Inference::from_report(&resilient_audit(&cfg.clone().with_model(machine)));
             let named = inf.model().expect("a conforming machine violates no model");
             assert!(named <= machine, "{machine} machine named {named}");
             assert!(inf.quarantined.is_empty());

@@ -186,6 +186,35 @@ fn infer_names_the_machine_model() {
 }
 
 #[test]
+fn infer_with_the_frame_capped_exhaustive_counter_keeps_heuristic_hits() {
+    // The suite's exhaustive scans stop at 10^6 frames, so on T_L = 3
+    // tests they can miss targets the heuristic counter saw (podwr001 on
+    // the pso machine at seed 1). Those hits still count: the observed
+    // tests are the ones the exact rf counter observes.
+    let observed = |counter: &str| -> Vec<String> {
+        let args = [
+            "infer",
+            "--model",
+            "pso",
+            "--seed",
+            "1",
+            "--counter",
+            counter,
+        ];
+        let out = perple(&args);
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter_map(|l| l.strip_prefix("  "))
+            .filter_map(|l| l.split_whitespace().next().map(str::to_owned))
+            .collect()
+    };
+    let exhaustive = observed("exhaustive");
+    assert!(exhaustive.iter().any(|t| t == "podwr001"), "{exhaustive:?}");
+    assert_eq!(exhaustive, observed("rf"));
+}
+
+#[test]
 fn infer_under_a_fault_plan_names_no_model_stronger_than_the_machine() {
     // Corrupted values read as targets no model allows ("none"); what the
     // run may never do is name SC for a TSO machine.

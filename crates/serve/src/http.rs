@@ -250,8 +250,9 @@ impl Response {
     /// it arrives (and once for a trailing unterminated line).
     ///
     /// Every form is read in bounded pieces, so memory follows the longest
-    /// line, not the body: a line longer than [`MAX_BODY`] is a
-    /// [`ServeError::Protocol`], while the total length is unbounded
+    /// line, not the body: a line longer than [`MAX_BODY`] bytes (a
+    /// trailing `\r` included) is a [`ServeError::Protocol`], raised
+    /// before `on_line` sees it, while the total length is unbounded
     /// (result streams are legitimately long).
     pub fn read_body_lines(
         &self,
@@ -326,17 +327,19 @@ fn feed(
         };
         total += n as u64;
         let mut rest = &piece[..n];
-        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-            pending.extend_from_slice(&rest[..pos]);
+        loop {
+            let newline = rest.iter().position(|&b| b == b'\n');
+            let end = newline.unwrap_or(rest.len());
+            if pending.len() + end > MAX_BODY {
+                return Err(ServeError::Protocol(format!(
+                    "line exceeds the {MAX_BODY} byte cap"
+                )));
+            }
+            pending.extend_from_slice(&rest[..end]);
+            let Some(pos) = newline else { break };
             on_line(String::from_utf8_lossy(pending).trim_end_matches('\r'));
             pending.clear();
             rest = &rest[pos + 1..];
-        }
-        pending.extend_from_slice(rest);
-        if pending.len() > MAX_BODY {
-            return Err(ServeError::Protocol(format!(
-                "line exceeds the {MAX_BODY} byte cap"
-            )));
         }
     }
 }
@@ -450,19 +453,24 @@ mod tests {
     }
 
     #[test]
-    fn an_unterminated_line_above_the_cap_is_rejected() {
-        let mut raw = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
-        raw.resize(raw.len() + MAX_BODY + 1, b'x');
-        let mut r = BufReader::new(&raw[..]);
-        let head = Response::read_head(&mut r).unwrap();
-        let mut lines = 0;
-        match head.read_body_lines(&mut r, &mut |_| lines += 1) {
-            Err(ServeError::Protocol(msg)) => {
-                assert!(msg.contains(&format!("{MAX_BODY} byte cap")), "{msg}")
+    fn a_line_above_the_cap_is_rejected() {
+        // Unterminated (a close-delimited body), and terminated with its
+        // newline in the piece that crosses the cap.
+        for tail in [&b""[..], b"\nok\n"] {
+            let mut raw = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
+            raw.resize(raw.len() + MAX_BODY + 1, b'x');
+            raw.extend_from_slice(tail);
+            let mut r = BufReader::new(&raw[..]);
+            let head = Response::read_head(&mut r).unwrap();
+            let mut lines = 0;
+            match head.read_body_lines(&mut r, &mut |_| lines += 1) {
+                Err(ServeError::Protocol(msg)) => {
+                    assert!(msg.contains(&format!("{MAX_BODY} byte cap")), "{msg}")
+                }
+                other => panic!("expected a Protocol error, got {other:?}"),
             }
-            other => panic!("expected a Protocol error, got {other:?}"),
+            assert_eq!(lines, 0);
         }
-        assert_eq!(lines, 0);
     }
 
     #[test]
