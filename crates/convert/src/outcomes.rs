@@ -1,7 +1,9 @@
 //! Perpetual outcomes: conversion steps 1–4 of §IV-A.
 //!
-//! An original outcome's register conditions become inequality conditions
-//! over *frames* (tuples of one iteration index per load-performing thread):
+//! Step 1's po/rf/co/fr edges are `perple-solve`'s
+//! [`forced_relations`] of the outcome's valued loads; each edge becomes
+//! one inequality condition over *frames* (tuples of one iteration index
+//! per load-performing thread):
 //!
 //! * `reg = v` with `v > 0` — the load read-from (rf) the unique store of
 //!   `v`, so in perpetual form the loaded value must be a term of that
@@ -10,6 +12,9 @@
 //! * `reg = 0` — the load happened from-read-before (fr) every store to the
 //!   location, so the loaded value must be **older** than each frame store:
 //!   `val < k * idx_writer + a` for every storing instruction.
+//! * The co and fr edges po-loc forces (coWR, coRW, coRR) become
+//!   [`PerpCond::Ws`] and one-term [`PerpCond::Fr`] conditions; without
+//!   them `n5` and `co-iriw` would convert to satisfiable conditions.
 //!
 //! Writers in load-performing threads use the frame's index directly;
 //! writers in store-only threads (e.g. `mp`'s producer) have no frame slot
@@ -17,9 +22,10 @@
 //! of the store-only thread satisfies all its constraints, solved per frame
 //! by interval intersection in O(1).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-use perple_model::{LitmusTest, LoadSlot, Outcome, RegId, ThreadId};
+use perple_model::{InstrRef, LitmusTest, LoadSlot, RegId, ThreadId};
+use perple_solve::{forced_relations, ForcedRelations};
 
 use crate::kmap::KMap;
 use crate::perpetual::PerpetualTest;
@@ -84,10 +90,10 @@ pub enum PerpCond {
         terms: Vec<StoreTerm>,
     },
     /// Write serialization between two frame stores:
-    /// `k_l*idx_l + a_l < k_r*idx_r + a_r`. Produced when a load reads past
-    /// its own thread's program-order-earlier store (the own store must be
-    /// ws-before the observed writer). `left` always references a
-    /// load-performing (frame) thread.
+    /// `k_l*idx_l + a_l < k_r*idx_r + a_r`. Produced for each coWR co edge:
+    /// a load reading past its own thread's program-order-earlier store
+    /// (the own store is ws-before the observed writer). `left` always
+    /// references a load-performing (frame) thread.
     Ws {
         /// The ws-earlier store (own store of the reading thread).
         left: StoreTerm,
@@ -113,11 +119,11 @@ pub struct PerpetualOutcome {
     label: String,
     conds: Vec<PerpCond>,
     exist_threads: Vec<ThreadId>,
-    /// True if step 1's happens-before analysis already proves the outcome
-    /// impossible (cyclic even within one thread): a load cannot read the
-    /// initial value past an own earlier store (forwarding), nor read an
-    /// own store that is program-order-later. Such outcomes evaluate to
-    /// false on every frame.
+    /// True if the forced relations close a static cycle within one
+    /// thread (`ForcedRelations::cyclic`): a load cannot read the initial
+    /// value past an own earlier store (forwarding), nor read an own store
+    /// that is program-order-later. Such outcomes evaluate to false on
+    /// every frame.
     infeasible: bool,
 }
 
@@ -136,143 +142,104 @@ impl PerpetualOutcome {
         atoms: &[(ThreadId, RegId, u32)],
         label: String,
     ) -> Result<Self, ConvertError> {
-        let slots = test.load_slots();
-        let reads = test.reads_per_thread();
+        let reads = valuation(test, kmap, atoms)?;
+        let forced = forced_relations(test, &reads).expect("the kmap attributes every value");
+        Ok(Self::from_forced(test, perp, kmap, &reads, &forced, label))
+    }
+
+    /// Maps the relations a valuation forces (`perple-solve`'s
+    /// [`forced_relations`]) to conditions, in read order: an rf edge
+    /// becomes [`PerpCond::Rf`], each coWR co edge into the read's writer
+    /// [`PerpCond::Ws`], each coRW fr edge a one-term [`PerpCond::Fr`], and
+    /// a read of the initial value one [`PerpCond::Fr`] over every store
+    /// to its location; the coRR fr edges follow. A static cycle makes the
+    /// outcome infeasible.
+    fn from_forced(
+        test: &LitmusTest,
+        perp: &PerpetualTest,
+        kmap: &KMap,
+        reads: &[(LoadSlot, u32)],
+        forced: &ForcedRelations,
+        label: String,
+    ) -> Self {
+        let reads_per_iter = test.reads_per_thread();
+        let loads: Vec<LoadRef> = reads
+            .iter()
+            .map(|(slot, _)| LoadRef {
+                frame_pos: perp
+                    .frame_position(slot.thread)
+                    .expect("condition thread performs loads"),
+                reads_per_iter: reads_per_iter[slot.thread.index()],
+                slot: slot.slot,
+            })
+            .collect();
+        let asg = |s: InstrRef| {
+            let (loc, value) = test.thread(s.thread)[usize::from(s.index)]
+                .store_target()
+                .expect("forced relations name stores");
+            *kmap
+                .assignment(loc, value)
+                .expect("kmap covers every store")
+        };
+        // A store's term; a store-only writer thread gets the next
+        // existential variable on first use.
         let mut exist_threads: Vec<ThreadId> = Vec::new();
-        let exist_of = |t: ThreadId, exist_threads: &mut Vec<ThreadId>| -> usize {
-            if let Some(i) = exist_threads.iter().position(|&s| s == t) {
-                i
-            } else {
-                exist_threads.push(t);
-                exist_threads.len() - 1
+        let mut term = |s: InstrRef| {
+            let writer = match perp.frame_position(s.thread) {
+                Some(p) => IdxRef::Frame(p),
+                None => IdxRef::Exist(match exist_threads.iter().position(|&t| t == s.thread) {
+                    Some(e) => e,
+                    None => {
+                        exist_threads.push(s.thread);
+                        exist_threads.len() - 1
+                    }
+                }),
+            };
+            let a = asg(s);
+            StoreTerm {
+                k: a.k,
+                a: a.a,
+                writer,
             }
         };
         let mut conds = Vec::new();
-        let mut infeasible = false;
-        // Positive-valued reads, remembered for coherence (CoRR) edges:
-        // (thread, load slot ordinal, location, writer instruction, load
-        // ref, writer term).
-        let mut corr_reads: Vec<(
-            ThreadId,
-            usize,
-            perple_model::LocId,
-            perple_model::InstrRef,
-            LoadRef,
-            StoreTerm,
-        )> = Vec::new();
-        for &(thread, reg, value) in atoms {
-            let slot = last_load_of(&slots, thread, reg).ok_or(ConvertError::UnloadedRegister {
-                thread: thread.index(),
-                reg: reg.index(),
-            })?;
-            let load = LoadRef {
-                frame_pos: perp
-                    .frame_position(thread)
-                    .expect("condition thread performs loads"),
-                reads_per_iter: reads[thread.index()],
-                slot: slot.slot,
-            };
-            let idx_for =
-                |t: ThreadId, exist_threads: &mut Vec<ThreadId>| match perp.frame_position(t) {
-                    Some(p) => IdxRef::Frame(p),
-                    None => IdxRef::Exist(exist_of(t, exist_threads)),
-                };
-            if value > 0 {
-                let asg = kmap.assignment(slot.loc, value).ok_or_else(|| {
-                    ConvertError::NoWriterForValue {
-                        loc: test.location_name(slot.loc).to_owned(),
-                        value,
-                    }
-                })?;
-                // Reading an own store that has not happened yet (po-later,
-                // or the same locked instruction's own store) is impossible.
-                if asg.thread == thread && asg.instr.index >= slot.instr_index {
-                    infeasible = true;
-                }
-                let writer = idx_for(asg.thread, &mut exist_threads);
-                let term = StoreTerm {
-                    k: asg.k,
-                    a: asg.a,
-                    writer,
-                };
-                corr_reads.push((thread, slot.slot, slot.loc, asg.instr, load, term));
-                conds.push(PerpCond::Rf { load, term });
-                // Reading another instruction's value across an own store to
-                // the same location implies write-serialization facts
-                // (step 1's ws/fr edges): a program-order-earlier own store
-                // is ws-before the observed writer; a program-order-later
-                // own store overwrites the observed value (fr). Without
-                // these, single-location tests like n5 would convert to
-                // satisfiable conditions despite being TSO-forbidden.
-                for (own_ref, own_val) in test.stores_to(slot.loc) {
-                    if own_ref.thread != thread || own_ref == asg.instr {
-                        continue;
-                    }
-                    let own = kmap
-                        .assignment(slot.loc, own_val)
-                        .expect("kmap covers every store");
-                    let own_term = StoreTerm {
-                        k: own.k,
-                        a: own.a,
-                        writer: IdxRef::Frame(load.frame_pos),
-                    };
-                    if own_ref.index < slot.instr_index {
-                        conds.push(PerpCond::Ws {
-                            left: own_term,
-                            right: term,
-                        });
-                    } else {
-                        conds.push(PerpCond::Fr {
-                            load,
-                            terms: vec![own_term],
-                        });
-                    }
-                }
-            } else {
-                // Store forwarding makes the initial value unreadable once
-                // an own earlier store targeted the same location.
-                if test
-                    .stores_to(slot.loc)
-                    .iter()
-                    .any(|(r, _)| r.thread == thread && r.index < slot.instr_index)
-                {
-                    infeasible = true;
-                }
-                let terms = kmap
-                    .assignments_for(slot.loc)
-                    .into_iter()
-                    .map(|asg| StoreTerm {
-                        k: asg.k,
-                        a: asg.a,
-                        writer: idx_for(asg.thread, &mut exist_threads),
-                    })
-                    .collect();
+        for (i, &load) in loads.iter().enumerate() {
+            let Some(w) = forced.rf[i] else {
+                // One term per store, in the kmap's offset order.
+                let mut stores = forced.fr[i].clone();
+                stores.sort_by_key(|&s| asg(s).a);
+                let terms = stores.into_iter().map(&mut term).collect();
                 conds.push(PerpCond::Fr { load, terms });
+                continue;
+            };
+            let right = term(w);
+            conds.push(PerpCond::Rf { load, term: right });
+            for &s in &forced.co_before[i] {
+                conds.push(PerpCond::Ws {
+                    left: term(s),
+                    right,
+                });
             }
-        }
-        // Coherence (CoRR) fr edges (paper §IV-A, step 1): two program-order
-        // reads of the same location within one thread observe ws-ordered
-        // stores, so the earlier read is fr-before the later read's writer.
-        // Without these edges, write-serialization disagreements (co-iriw)
-        // would convert to vacuously satisfiable conditions.
-        for (i, a) in corr_reads.iter().enumerate() {
-            for b in &corr_reads[i + 1..] {
-                if a.0 != b.0 || a.2 != b.2 || a.3 == b.3 || a.1 == b.1 {
-                    continue;
-                }
-                let (early, late) = if a.1 < b.1 { (a, b) } else { (b, a) };
+            for &s in &forced.fr[i] {
                 conds.push(PerpCond::Fr {
-                    load: early.4,
-                    terms: vec![late.5],
+                    load,
+                    terms: vec![term(s)],
                 });
             }
         }
-        Ok(Self {
+        for &(early, late) in &forced.corr {
+            let writer = forced.rf[late].expect("coRR reads see stores");
+            conds.push(PerpCond::Fr {
+                load: loads[early],
+                terms: vec![term(writer)],
+            });
+        }
+        Self {
             label,
             conds,
             exist_threads,
-            infeasible,
-        })
+            infeasible: forced.cyclic,
+        }
     }
 
     /// Converts the test's own (target) condition.
@@ -290,20 +257,6 @@ impl PerpetualOutcome {
         }
         let atoms: Vec<_> = test.target().reg_atoms().collect();
         Self::convert(test, perp, kmap, &atoms, "target".to_owned())
-    }
-
-    /// Converts a complete register [`Outcome`].
-    ///
-    /// # Errors
-    /// See [`PerpetualOutcome::convert`].
-    pub fn convert_outcome(
-        test: &LitmusTest,
-        perp: &PerpetualTest,
-        kmap: &KMap,
-        outcome: &Outcome,
-    ) -> Result<Self, ConvertError> {
-        let atoms: Vec<_> = outcome.iter().collect();
-        Self::convert(test, perp, kmap, &atoms, outcome.label())
     }
 
     /// Display label (original outcome label or `"target"`).
@@ -411,53 +364,74 @@ pub fn fr_lower_bound(k: u64, a: u64, val: u64) -> u64 {
     }
 }
 
-/// The last load of thread `t` targeting register `r` (its final value).
-pub(crate) fn last_load_of(slots: &[LoadSlot], t: ThreadId, r: RegId) -> Option<LoadSlot> {
-    slots.iter().rfind(|s| s.thread == t && s.reg == r).copied()
+/// Resolves `(thread, reg, value)` atoms to valued load slots, one per
+/// atom: a register's value is its last load's.
+fn valuation(
+    test: &LitmusTest,
+    kmap: &KMap,
+    atoms: &[(ThreadId, RegId, u32)],
+) -> Result<Vec<(LoadSlot, u32)>, ConvertError> {
+    let slots = test.load_slots();
+    atoms
+        .iter()
+        .map(|&(thread, reg, value)| {
+            let slot = *slots
+                .iter()
+                .rfind(|s| s.thread == thread && s.reg == reg)
+                .ok_or(ConvertError::UnloadedRegister {
+                    thread: thread.index(),
+                    reg: reg.index(),
+                })?;
+            if value > 0 && kmap.assignment(slot.loc, value).is_none() {
+                return Err(ConvertError::NoWriterForValue {
+                    loc: test.location_name(slot.loc).to_owned(),
+                    value,
+                });
+            }
+            Ok((slot, value))
+        })
+        .collect()
 }
 
 /// Converts every possible outcome of a test (outcome-variety analysis,
 /// Figure 13), in canonical label order.
 ///
 /// # Errors
-/// Propagates conversion errors from [`PerpetualOutcome::convert_outcome`].
+/// Propagates conversion errors as [`PerpetualOutcome::convert`] does.
 pub fn convert_all_outcomes(
     test: &LitmusTest,
     perp: &PerpetualTest,
     kmap: &KMap,
 ) -> Result<Vec<PerpetualOutcome>, ConvertError> {
     let mut out = Vec::new();
-    let mut seen = BTreeMap::new();
+    let mut seen = BTreeSet::new();
     for o in test.possible_outcomes() {
-        // Skip outcomes a locked RMW makes structurally impossible: a
-        // register fed only by an XCHG cannot observe the XCHG's own value.
-        if !xchg_feasible(test, &o) {
-            continue;
-        }
+        let atoms: Vec<_> = o.iter().collect();
+        let reads = valuation(test, kmap, &atoms)?;
+        let forced = forced_relations(test, &reads).expect("the kmap attributes every value");
+        // A locked exchange cannot read its own write: skip outcomes whose
+        // rf names the reading instruction itself.
+        let self_read = reads.iter().zip(&forced.rf).any(|((slot, _), w)| {
+            *w == Some(InstrRef {
+                thread: slot.thread,
+                index: slot.instr_index,
+            })
+        });
         // Clobbered registers (two loads, one register) make distinct slot
         // valuations collapse to one register outcome; keep the first.
-        if seen.insert(o.label(), ()).is_some() {
+        if self_read || !seen.insert(o.label()) {
             continue;
         }
-        let po = PerpetualOutcome::convert_outcome(test, perp, kmap, &o)?;
-        out.push(po);
+        out.push(PerpetualOutcome::from_forced(
+            test,
+            perp,
+            kmap,
+            &reads,
+            &forced,
+            o.label(),
+        ));
     }
-    debug_assert_eq!(seen.len(), out.len());
     Ok(out)
-}
-
-/// False if the outcome requires an XCHG to read its own stored value.
-fn xchg_feasible(test: &LitmusTest, outcome: &Outcome) -> bool {
-    for (t, instrs) in test.threads().iter().enumerate() {
-        for instr in instrs {
-            if let perple_model::Instr::Xchg { reg, value, .. } = instr {
-                if outcome.get(ThreadId(t as u8), *reg) == Some(*value) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -62,21 +62,22 @@ impl Target {
     }
 }
 
-/// A finished request: status, headers of interest, and every body line
-/// (also delivered incrementally through the callback, for streams).
+/// A finished request: status, headers of interest, and the body lines
+/// no callback consumed.
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// HTTP status code.
     pub status: u16,
     /// `Retry-After` header value, when the server sent one.
     pub retry_after: Option<String>,
-    /// All body lines in arrival order.
+    /// All body lines in arrival order; empty when a callback streamed
+    /// them, so a long stream does not grow the client's memory.
     pub lines: Vec<String>,
 }
 
 /// One request against the server. `on_line` (when given) sees each
-/// body line as it arrives — for `POST /submit?wait=1` that means
-/// records stream in real time.
+/// body line as it arrives instead of [`Outcome::lines`] — for
+/// `POST /submit?wait=1` that means records stream in real time.
 pub fn request(
     target: &Target,
     method: &str,
@@ -98,11 +99,9 @@ pub fn request(
     let mut reader = BufReader::new(conn);
     let head = Response::read_head(&mut reader)?;
     let mut lines = Vec::new();
-    head.read_body_lines(&mut reader, &mut |line| {
-        if let Some(cb) = on_line.as_deref_mut() {
-            cb(line);
-        }
-        lines.push(line.to_string());
+    head.read_body_lines(&mut reader, &mut |line| match on_line.as_deref_mut() {
+        Some(cb) => cb(line),
+        None => lines.push(line.to_string()),
     })?;
     Ok(Outcome {
         status: head.status,
@@ -130,4 +129,67 @@ pub fn submit(
 /// Plain GET (status, stats, metrics, health).
 pub fn get(target: &Target, path: &str) -> Result<Outcome, ServeError> {
     request(target, "GET", path, None, None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead;
+    use std::net::TcpListener;
+
+    /// Serves one canned chunked stream of `n` lines to each of
+    /// `requests` connections; returns the target and the lines.
+    fn canned_stream(n: usize, requests: usize) -> (Target, Vec<String>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let target = Target::Tcp(listener.local_addr().unwrap().to_string());
+        let lines: Vec<String> = (0..n).map(|i| format!("{{\"seed\":{i}}}")).collect();
+        let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        std::thread::spawn(move || {
+            for _ in 0..requests {
+                let (conn, _) = listener.accept().unwrap();
+                let mut r = BufReader::new(conn);
+                let mut len = 0usize;
+                loop {
+                    let mut h = String::new();
+                    r.read_line(&mut h).unwrap();
+                    if h.trim().is_empty() {
+                        break;
+                    }
+                    if let Some(v) = h.to_ascii_lowercase().strip_prefix("content-length:") {
+                        len = v.trim().parse().unwrap();
+                    }
+                }
+                r.read_exact(&mut vec![0; len]).unwrap();
+                let mut w = r.into_inner();
+                write!(w, "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n").unwrap();
+                for piece in body.as_bytes().chunks(100) {
+                    write!(w, "{:x}\r\n", piece.len()).unwrap();
+                    w.write_all(piece).unwrap();
+                    w.write_all(b"\r\n").unwrap();
+                }
+                w.write_all(b"0\r\n\r\n").unwrap();
+            }
+        });
+        (target, lines)
+    }
+
+    #[test]
+    fn a_streaming_submit_keeps_no_copy_of_its_lines() {
+        let (target, lines) = canned_stream(500, 2);
+        let mut seen = Vec::new();
+        let out = submit(
+            &target,
+            "name=x\n",
+            "c",
+            true,
+            Some(&mut |l: &str| seen.push(l.to_string())),
+        )
+        .unwrap();
+        assert_eq!(out.status, 200);
+        assert!(out.lines.is_empty());
+        assert_eq!(seen, lines);
+        // Without a callback the lines are collected.
+        let out = submit(&target, "name=x\n", "c", true, None).unwrap();
+        assert_eq!(out.lines, lines);
+    }
 }
