@@ -73,9 +73,7 @@ impl Condition {
     /// True if any conjunct inspects final shared memory, which makes the
     /// owning test non-convertible (paper §V-C).
     pub fn inspects_memory(&self) -> bool {
-        self.atoms
-            .iter()
-            .any(|a| matches!(a, CondAtom::MemEq { .. }))
+        self.mem_atoms().next().is_some()
     }
 
     /// Returns the register conjuncts only.
@@ -83,6 +81,14 @@ impl Condition {
         self.atoms.iter().filter_map(|a| match *a {
             CondAtom::RegEq { thread, reg, value } => Some((thread, reg, value)),
             CondAtom::MemEq { .. } => None,
+        })
+    }
+
+    /// Returns the final-memory conjuncts only.
+    pub fn mem_atoms(&self) -> impl Iterator<Item = (LocId, u32)> + '_ {
+        self.atoms.iter().filter_map(|a| match *a {
+            CondAtom::MemEq { loc, value } => Some((loc, value)),
+            CondAtom::RegEq { .. } => None,
         })
     }
 

@@ -280,7 +280,10 @@ impl LitmusTest {
 
     /// Builds the register valuation described by the test condition,
     /// completing unspecified load registers with every possible value.
-    /// Returns all full outcomes compatible with the condition.
+    /// Returns all full outcomes compatible with the condition's register
+    /// atoms: it projects them only, so final-memory atoms (`[x]=v`) are
+    /// left to the caller (the solver's `condition_feasible` adds them as
+    /// a coherence constraint).
     pub fn outcomes_matching_condition(&self) -> Vec<Outcome> {
         let target: Vec<(ThreadId, RegId, u32)> = self.condition.reg_atoms().collect();
         self.possible_outcomes()

@@ -19,14 +19,13 @@
 use std::fmt::Write as _;
 
 use perple_analysis::count::{CountRequest, Counter, HeuristicCounter};
-use perple_enumerate::{classify, Classification};
 use perple_harness::baseline::{BaselineRunner, SyncMode};
 use perple_harness::perpetual::PerpleRunner;
 use perple_model::{suite, ModelId};
 use perple_sim::SimConfig;
 
 use super::ExperimentConfig;
-use crate::Conversion;
+use crate::{classify, Classification, Conversion};
 
 /// Verdict for one test on the faulty machine.
 #[derive(Debug, Clone, PartialEq, Eq)]

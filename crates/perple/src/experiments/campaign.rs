@@ -14,8 +14,8 @@
 //!   [`run_suite_resilient`] via [`audit_one`], so campaigns inherit panic
 //!   isolation, watchdog budgets, deterministic retries, and quarantine;
 //! * conversion-artifact capture into the `conv/` cache namespace;
-//! * each record's `forbidden` flag: one solver verdict per distinct test
-//!   under the spec's model ([`forbidden_under`]), computed once per run
+//! * each record's `forbidden` flag: one verdict per distinct test under
+//!   the spec's model ([`condition_allowed`]), computed once per run
 //!   the first time anything executes.
 //!
 //! ## Seeds and fingerprints
@@ -45,7 +45,7 @@ use perple_lint::{lint_test, LintConfig, LintReport, RuleId, Severity};
 use perple_model::{printer, suite, LitmusTest, ModelId};
 
 use crate::error::{parse_fault_plan, PerpleError};
-use crate::{forbidden_under, Conversion};
+use crate::{condition_allowed, Conversion};
 
 use super::resilient::{audit_one, run_suite_resilient, ItemStatus};
 use super::{derive_seed, ExperimentConfig};
@@ -434,7 +434,7 @@ fn run_verdicts(
     let _span = perple_obs::trace::span("verdicts");
     tests_by_name
         .iter()
-        .map(|(name, t)| (name.clone(), forbidden_under(t, model)))
+        .map(|(name, t)| (name.clone(), !condition_allowed(t, model)))
         .collect()
 }
 

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use perple_model::{suite, ModelId};
 
 use super::resilient::{AuditRow, SuiteReport};
-use crate::forbidden_under;
+use crate::condition_allowed;
 
 /// One observed target: a suite test whose target outcome fired.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,7 +116,7 @@ impl Inference {
                     count,
                     strongest: ModelId::ALL
                         .into_iter()
-                        .find(|&m| !forbidden_under(test, m)),
+                        .find(|&m| condition_allowed(test, m)),
                 })
             })
             .collect();

@@ -470,13 +470,20 @@ pub fn resilient_audit(cfg: &ExperimentConfig) -> SuiteReport<AuditRow> {
     )
 }
 
-/// Renders audit rows (plus quarantine dispositions) as a text table.
+/// Renders audit rows (plus quarantine dispositions) as a text table, the
+/// exact column headed by its [`AuditRow::counter`] ("exact" if none ran).
 pub fn render_audit_text(report: &SuiteReport<AuditRow>) -> String {
+    let counter = report
+        .results
+        .iter()
+        .flatten()
+        .next()
+        .map_or("exact", |r| r.counter);
     let mut s = String::new();
     let _ = writeln!(
         s,
         "{:<12} {:>10} {:>12} {:>6} {:>9} {:>8}  flags",
-        "test", "heuristic", "exhaustive", "iters", "faults", "wall(ms)"
+        "test", "heuristic", counter, "iters", "faults", "wall(ms)"
     );
     for (row, item) in report.results.iter().zip(&report.items) {
         match row {
@@ -716,6 +723,12 @@ mod tests {
         assert!(json.contains("\"rows\":["));
         let text = render_audit_text(&report);
         assert!(text.contains("sb"));
+        let header = text.lines().next().unwrap();
+        assert_eq!(
+            header.split_whitespace().nth(2),
+            Some(sb.counter),
+            "the exact column is headed by its backend: {header}"
+        );
     }
 
     #[test]

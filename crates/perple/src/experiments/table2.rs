@@ -3,10 +3,9 @@
 
 use std::fmt::Write as _;
 
-use perple_enumerate::classify;
 use perple_model::suite;
 
-use super::pool;
+use crate::classify;
 
 /// One row of the regenerated Table II.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,7 +16,7 @@ pub struct Table2Row {
     pub threads: usize,
     /// Load-performing thread count `T_L`.
     pub load_threads: usize,
-    /// Allowed under x86-TSO per the operational enumerator.
+    /// Allowed under x86-TSO ([`crate::condition_allowed`]).
     pub tso_allowed: bool,
     /// Allowed under SC (targets are always SC-forbidden).
     pub sc_allowed: bool,
@@ -25,30 +24,26 @@ pub struct Table2Row {
     pub matches_paper: bool,
 }
 
-/// Regenerates Table II by classifying every convertible test with the
-/// operational SC/TSO enumerators, on the machine's available parallelism.
+/// Regenerates Table II by classifying every convertible test
+/// ([`classify`]).
 pub fn table2() -> Vec<Table2Row> {
-    table2_with_workers(pool::default_workers())
-}
-
-/// [`table2`] with an explicit suite-pool worker count. Classification is
-/// deterministic per test, so every worker count yields identical rows.
-pub fn table2_with_workers(workers: usize) -> Vec<Table2Row> {
-    let tests = suite::convertible();
-    let entries: Vec<_> = tests.iter().zip(suite::TABLE_II).collect();
-    pool::map_parallel(&entries, workers, |_, (test, entry)| {
-        let c = classify(test);
-        Table2Row {
-            name: test.name().to_owned(),
-            threads: test.thread_count(),
-            load_threads: test.load_thread_count(),
-            tso_allowed: c.tso_allowed,
-            sc_allowed: c.sc_allowed,
-            matches_paper: c.tso_allowed == entry.allowed
-                && test.thread_count() == entry.threads
-                && test.load_thread_count() == entry.load_threads,
-        }
-    })
+    suite::convertible()
+        .iter()
+        .zip(suite::TABLE_II)
+        .map(|(test, entry)| {
+            let c = classify(test);
+            Table2Row {
+                name: test.name().to_owned(),
+                threads: test.thread_count(),
+                load_threads: test.load_thread_count(),
+                tso_allowed: c.tso_allowed,
+                sc_allowed: c.sc_allowed,
+                matches_paper: c.tso_allowed == entry.allowed
+                    && test.thread_count() == entry.threads
+                    && test.load_thread_count() == entry.load_threads,
+            }
+        })
+        .collect()
 }
 
 /// Renders the regenerated table in the paper's two-group layout.
@@ -94,14 +89,6 @@ mod tests {
             assert!(!r.sc_allowed, "{}: targets are SC-forbidden", r.name);
         }
         assert_eq!(rows.iter().filter(|r| r.tso_allowed).count(), 12);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_classification() {
-        let serial = table2_with_workers(1);
-        for workers in [2usize, 7] {
-            assert_eq!(table2_with_workers(workers), serial, "workers {workers}");
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | concern | crate |
 //! |---|---|
 //! | litmus AST, parser, suite, model identity | [`perple_model`] |
-//! | SC/TSO/PSO/relaxed outcome classification (herd substitute) | [`perple_enumerate`] |
+//! | SC/TSO/PSO/relaxed condition verdicts (herd substitute) | [`perple_solve`], [`perple_enumerate`] for the solver's out-of-fragment shapes |
 //! | simulated x86-TSO machine | [`perple_sim`] |
 //! | Converter (perpetual tests + outcomes + codegen) | [`perple_convert`] |
 //! | Harness (perpetual + litmus7 baseline + native) | [`perple_harness`] |
@@ -58,7 +58,7 @@ pub use perple_campaign as campaign;
 pub use perple_convert::{
     Conversion, ConvertError, HeuristicOutcome, PerpetualOutcome, PerpetualTest,
 };
-pub use perple_enumerate::{classify, enumerate, Classification};
+pub use perple_enumerate::Classification;
 pub use perple_harness::baseline::{BaselineRun, BaselineRunner, SyncMode};
 pub use perple_harness::native;
 pub use perple_harness::perpetual::{PerpleRun, PerpleRunner};
@@ -73,35 +73,26 @@ pub use servehost::{summary_json, validate_store_root, CampaignRunner};
 pub use experiments::pool::default_workers;
 pub use perple_analysis::metrics::StageTimings;
 
-/// The solver's verdict on whether `model` forbids the test's condition:
-/// `Some(true)` when no outcome matching a register-only `exists`
-/// condition is feasible, `Some(false)` when one is, and `None` when the
-/// solver abstains (a memory-inspecting, universal, or unsatisfiable
-/// condition, or an outcome shape outside its fragment — the same scope
-/// as lint L008).
-pub fn solver_forbidden(test: &LitmusTest, model: ModelId) -> Option<bool> {
-    let cond = test.target();
-    if cond.quantifier() != perple_model::Quantifier::Exists || cond.inspects_memory() {
-        return None;
-    }
-    let matching = test.outcomes_matching_condition();
-    if matching.is_empty() {
-        return None;
-    }
-    for o in &matching {
-        if perple_solve::feasible(test, o, model).ok()? {
-            return Some(false);
-        }
-    }
-    Some(true)
+/// Whether some execution under `model` satisfies the test's condition
+/// body (its quantifier aside): the one allowed/forbidden verdict every
+/// caller uses. The solver decides it
+/// ([`perple_solve::condition_feasible`], final-memory atoms included);
+/// the operational enumerator runs, under that one model, only for the
+/// two shapes outside the solver's fragment — a reloaded register or a
+/// value stored twice.
+pub fn condition_allowed(test: &LitmusTest, model: ModelId) -> bool {
+    perple_solve::condition_feasible(test, model)
+        .unwrap_or_else(|_| perple_enumerate::classify_under(test, model))
 }
 
-/// Whether `model` forbids the test's condition: the solver verdict, with
-/// the operational enumeration under that one model only where the solver
-/// abstains. Equal to `!classify(test).allowed_under(model)` at a fraction
-/// of the cost (microseconds instead of a four-model enumeration).
-pub fn forbidden_under(test: &LitmusTest, model: ModelId) -> bool {
-    solver_forbidden(test, model).unwrap_or_else(|| !perple_enumerate::classify_under(test, model))
+/// The test's [`condition_allowed`] verdict under every supported model.
+pub fn classify(test: &LitmusTest) -> Classification {
+    Classification {
+        sc_allowed: condition_allowed(test, ModelId::Sc),
+        tso_allowed: condition_allowed(test, ModelId::Tso),
+        pso_allowed: condition_allowed(test, ModelId::Pso),
+        relaxed_allowed: condition_allowed(test, ModelId::Relaxed),
+    }
 }
 
 /// One-stop engine: conversion plus harness plus counters for one test.
@@ -264,6 +255,37 @@ mod tests {
             a.target_exhaustive.frames_examined,
             b.target_exhaustive.frames_examined
         );
+    }
+
+    #[test]
+    fn out_of_fragment_conditions_fall_back_to_the_enumerator() {
+        // A reloaded register, then a value stored twice: the solver
+        // abstains and the one-model enumeration decides.
+        let mut b = perple_model::TestBuilder::new("reload");
+        b.thread().store("x", 1);
+        b.thread().load("EAX", "x").mfence().load("EAX", "x");
+        b.reg_cond(1, "EAX", 0);
+        let reload = b.build().unwrap();
+        let mut b = perple_model::TestBuilder::new("twice");
+        b.thread().store("x", 1).store("y", 1);
+        b.thread().store("y", 2).store("x", 1);
+        b.mem_cond("x", 1).mem_cond("y", 2);
+        let twice = b.build().unwrap();
+        for t in [reload, twice] {
+            for m in ModelId::ALL {
+                assert!(
+                    perple_solve::condition_feasible(&t, m).is_err(),
+                    "{}",
+                    t.name()
+                );
+                assert_eq!(
+                    condition_allowed(&t, m),
+                    perple_enumerate::classify_under(&t, m),
+                    "{} under {m}",
+                    t.name()
+                );
+            }
+        }
     }
 
     #[test]

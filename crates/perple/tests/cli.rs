@@ -272,3 +272,42 @@ fn bad_usage_exits_nonzero() {
         .status
         .success());
 }
+
+#[test]
+fn gen_counts_equal_the_operational_classification() {
+    // Every generated test's condition, final-memory atoms included, is
+    // judged as the operational enumerator judges it.
+    let out = perple(&["gen", "--model", "tso"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let tests = perple_model::generate::generate_corpus(6, 4);
+    let exposable = tests
+        .iter()
+        .filter(|t| perple_enumerate::classify_under(t, perple_model::ModelId::Tso))
+        .count();
+    let expected = format!(
+        "under tso: {exposable} exposable targets, {} unexposable",
+        tests.len() - exposable
+    );
+    assert!(text.contains(&expected), "want {expected:?} in {text}");
+}
+
+#[test]
+fn solve_decides_final_memory_conditions() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/2+2w.litmus");
+    let out = perple(&["solve", path, "--model", "all"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    for (model, verdict) in [
+        ("SC:      ", "forbidden"),
+        ("TSO:     ", "forbidden"),
+        ("PSO:     ", "allowed"),
+        ("RELAXED: ", "allowed"),
+    ] {
+        let line = format!("condition under {model}{verdict}");
+        assert!(text.contains(&line), "want {line:?} in {text}");
+        let row = format!("[x]=1 [y]=1 under {model}{verdict}");
+        assert!(text.contains(&row), "want {row:?} in {text}");
+    }
+    assert!(!perple(&["solve", path, "--oracle"]).status.success());
+}

@@ -5,6 +5,9 @@
 //! test, a complete register outcome, and a [`ModelId`], decide
 //! allowed/forbidden *without simulating a single iteration* by searching
 //! for a write serialization whose induced constraint graph is acyclic.
+//! [`condition_feasible`] lifts this to a test's whole condition: its
+//! register atoms pick the outcomes, and each final-memory atom `[x]=v`
+//! constrains co (v's unique store is coherence-last at x).
 //!
 //! This is the repository's one axiomatic engine. Its axioms are the
 //! "herding cats" formulation: SC-per-location (`po-loc ∪ rf ∪ co ∪ fr`
@@ -408,6 +411,35 @@ fn writer(test: &LitmusTest, loc: LocId, value: u32) -> Result<Option<InstrRef>,
         .ok_or(SolveError::UnattributableValue { value })
 }
 
+/// The stores a test's final-memory atoms make coherence-last. `[x]=v`
+/// means v's unique store is co-last at x; with `v = init(x)` it means x
+/// has no store. `Ok(None)` when no execution satisfies the atoms: two
+/// give one location different values, or one names a value x never holds.
+///
+/// # Errors
+/// [`SolveError::UnattributableValue`] when an atom's value is written by
+/// several stores (or by a store and the initialization).
+pub fn final_stores(test: &LitmusTest) -> Result<Option<Vec<InstrRef>>, SolveError> {
+    let mut atoms: Vec<(LocId, u32)> = test.target().mem_atoms().collect();
+    atoms.sort_unstable();
+    atoms.dedup();
+    if atoms.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+        return Ok(None);
+    }
+    let mut last = Vec::new();
+    for (loc, value) in atoms {
+        let stores = test.stores_to(loc);
+        let writers = stores.iter().filter(|&&(_, v)| v == value).count();
+        match (value == test.init(loc), writers) {
+            (false, 1) => last.extend(test.unique_store_of(loc, value)),
+            (true, 0) if stores.is_empty() => {}
+            (_, 0) => return Ok(None),
+            _ => return Err(SolveError::UnattributableValue { value }),
+        }
+    }
+    Ok(Some(last))
+}
+
 /// True iff an `MFENCE` sits between two events of one thread, `a`'s
 /// instruction before `b`'s.
 fn fence_between(test: &LitmusTest, a: &Event, b: &Event) -> bool {
@@ -567,6 +599,9 @@ struct Search {
     uniproc: Graph,
     /// Global happens-before graph (`ppo ∪ fence ∪ rfe ∪ co ∪ fr`).
     ghb: Graph,
+    /// The writes final-memory atoms make coherence-last, at most one per
+    /// location (none, and no allocation, for a register-only query).
+    last: Vec<usize>,
     /// Chosen coherence orders, one per placed location.
     placed: Vec<Vec<usize>>,
     /// Refuting edges accumulated from failed branches.
@@ -576,11 +611,13 @@ struct Search {
 impl Search {
     /// Builds the events of `valued` and the skeleton every witness
     /// shares: po-loc and `rf` (one writer per valued read) in `uniproc`,
-    /// the model's ppo, fences and rfe in `ghb`.
+    /// the model's ppo, fences and rfe in `ghb`. `last` lists the stores
+    /// that must end their location's coherence order ([`final_stores`]).
     fn new(
         test: &LitmusTest,
         valued: &[(LoadSlot, u32)],
         rf: &[Option<InstrRef>],
+        last: &[InstrRef],
         model: ModelId,
     ) -> Self {
         let events = valued_events(test, valued);
@@ -594,10 +631,12 @@ impl Search {
             rf: Vec::new(),
             uniproc: Graph::new(n),
             ghb: Graph::new(n),
+            last: Vec::new(),
             placed: Vec::new(),
             core: Vec::new(),
         };
         s.rf = rf.iter().map(|w| w.map(|w| s.write(w))).collect();
+        s.last = last.iter().map(|&st| s.write(st)).collect();
         let evs = &s.events;
         for a in 0..n {
             for b in 0..n {
@@ -686,6 +725,19 @@ impl Search {
         }
         self.placed.push(order.to_vec());
         Ok(())
+    }
+
+    /// The final-memory check of location `l`'s complete coherence order:
+    /// `None` if the atom's store (if any) ends `order`, otherwise the co
+    /// edge from it to the write that does.
+    fn final_violation(&self, l: usize, order: &[usize]) -> Option<Edge> {
+        let &from = self.last.iter().find(|&&w| self.events[w].loc == l)?;
+        let &to = order.last().expect("the final store is serialized");
+        (to != from).then_some(Edge {
+            kind: EdgeKind::Co,
+            from,
+            to,
+        })
     }
 
     /// Serializes location `l` as `order`: checks RMW atomicity, then
@@ -777,7 +829,7 @@ impl Search {
 
     /// Enumerates po-respecting coherence orders of location `l`'s
     /// remaining writes, recursing into the next location on each
-    /// complete placement.
+    /// complete placement that keeps the final-memory atom.
     fn orders(
         &mut self,
         l: usize,
@@ -786,6 +838,10 @@ impl Search {
         remaining: &mut Vec<usize>,
     ) -> bool {
         if remaining.is_empty() {
+            if let Some(refuting) = self.final_violation(l, order) {
+                self.core.push(refuting);
+                return false;
+            }
             let mark = (self.uniproc.len(), self.ghb.len());
             match self.place(l, order) {
                 Ok(()) => {
@@ -821,14 +877,29 @@ impl Search {
 
 /// Decides whether `outcome` is reachable under the axiomatic formulation
 /// of `model`, returning a checkable [`Witness`] when it is and a
-/// non-empty unsatisfiable [`Core`] when it is not.
+/// non-empty unsatisfiable [`Core`] when it is not. Final memory is
+/// unconstrained; see [`solve_final`].
 ///
 /// # Errors
 /// [`SolveError`] when the outcome/test shape prevents analysis.
 pub fn solve(test: &LitmusTest, outcome: &Outcome, model: ModelId) -> Result<Verdict, SolveError> {
+    solve_final(test, outcome, &[], model)
+}
+
+/// [`solve`] with every store of `last` (from [`final_stores`])
+/// coherence-last at its location.
+///
+/// # Errors
+/// As for [`solve`].
+pub fn solve_final(
+    test: &LitmusTest,
+    outcome: &Outcome,
+    last: &[InstrRef],
+    model: ModelId,
+) -> Result<Verdict, SolveError> {
     let valued = valuation(test, outcome)?;
     let forced = forced_relations(test, &valued)?;
-    let mut s = Search::new(test, &valued, &forced.rf, model);
+    let mut s = Search::new(test, &valued, &forced.rf, last, model);
     s.force(&forced);
 
     // A static cycle refutes every serialization at once.
@@ -871,6 +942,26 @@ pub fn feasible(test: &LitmusTest, outcome: &Outcome, model: ModelId) -> Result<
     solve(test, outcome, model).map(|v| v.is_allowed())
 }
 
+/// Decides whether some execution under `model` satisfies the test's
+/// condition body (its quantifier aside): a register outcome matching the
+/// condition, feasible together with its final-memory atoms. An
+/// unsatisfiable condition is forbidden under every model.
+///
+/// # Errors
+/// [`SolveError`] when the test leaves the solver's fragment: a reloaded
+/// register, or a value stored twice.
+pub fn condition_feasible(test: &LitmusTest, model: ModelId) -> Result<bool, SolveError> {
+    let Some(last) = final_stores(test)? else {
+        return Ok(false);
+    };
+    for outcome in test.outcomes_matching_condition() {
+        if solve_final(test, &outcome, &last, model)?.is_allowed() {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
 /// Replays a witness against a freshly built constraint graph: the
 /// coherence orders must be permutations of each location's writes that
 /// keep RMW atomicity, the SC-per-location graph must be acyclic (so co
@@ -885,13 +976,28 @@ pub fn verify_witness(
     model: ModelId,
     witness: &Witness,
 ) -> Result<(), String> {
+    verify_final_witness(test, outcome, &[], model, witness)
+}
+
+/// [`verify_witness`] for a [`solve_final`] verdict: each store of `last`
+/// must also end its location's coherence order.
+///
+/// # Errors
+/// As for [`verify_witness`].
+pub fn verify_final_witness(
+    test: &LitmusTest,
+    outcome: &Outcome,
+    last: &[InstrRef],
+    model: ModelId,
+    witness: &Witness,
+) -> Result<(), String> {
     let valued = valuation(test, outcome).map_err(|e| e.to_string())?;
     let rf = valued
         .iter()
         .map(|&(slot, value)| writer(test, slot.loc, value))
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| e.to_string())?;
-    let mut s = Search::new(test, &valued, &rf, model);
+    let mut s = Search::new(test, &valued, &rf, last, model);
     let n = s.events.len();
     let nlocs = test.location_count();
     if witness.co.len() != nlocs {
@@ -913,6 +1019,12 @@ pub fn verify_witness(
         if got != expected {
             return Err(format!(
                 "witness co[{l}] is not a permutation of the writes to it"
+            ));
+        }
+        if let Some(edge) = s.final_violation(l, order) {
+            return Err(format!(
+                "witness co[{l}] does not end with the final-memory store: {}",
+                Core { edges: vec![edge] }.render(&s.events)
             ));
         }
         s.serialize(l, order).map_err(|edges| {
@@ -1153,6 +1265,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn final_memory_atoms_constrain_the_last_store() {
+        use perple_enumerate::classify_under;
+        // 2+2w asks both locations to end with the store written first:
+        // only a model that drops W->W order reaches it.
+        let t = suite::by_name("2+2w").unwrap();
+        let last = final_stores(&t).unwrap().expect("satisfiable atoms");
+        assert_eq!(last.len(), 2);
+        for m in ModelId::ALL {
+            assert_eq!(condition_feasible(&t, m), Ok(classify_under(&t, m)), "{m}");
+        }
+        assert!(!condition_feasible(&t, ModelId::Tso).unwrap());
+        let rows = t.outcomes_matching_condition();
+        let Verdict::Allowed(w) = solve_final(&t, &rows[0], &last, ModelId::Pso).unwrap() else {
+            panic!("2+2w is PSO-allowed");
+        };
+        verify_final_witness(&t, &rows[0], &last, ModelId::Pso, &w).unwrap();
+        // The same coherence orders, unconstrained, replay too; reversed,
+        // they end with the wrong store.
+        verify_witness(&t, &rows[0], ModelId::Pso, &w).unwrap();
+        let mut bad = w;
+        bad.co[0].reverse();
+        let err = verify_final_witness(&t, &rows[0], &last, ModelId::Pso, &bad).unwrap_err();
+        assert!(err.contains("final-memory store"), "{err}");
+        let Verdict::Forbidden(core) = solve_final(&t, &rows[0], &last, ModelId::Tso).unwrap()
+        else {
+            panic!("2+2w is TSO-forbidden");
+        };
+        assert!(!core.edges.is_empty());
+    }
+
+    #[test]
+    fn unsatisfiable_and_ambiguous_final_atoms() {
+        let build = |conds: &[(&str, u32)], stores: &[u32]| {
+            let mut b = perple_model::TestBuilder::new("fin");
+            let mut th = b.thread();
+            for &v in stores {
+                th.store("x", v);
+            }
+            b.thread().store("y", 1);
+            for &(loc, v) in conds {
+                b.mem_cond(loc, v);
+            }
+            b.build().unwrap()
+        };
+        // Two values for one location, a value nobody stores, and the
+        // initial value of a written location: forbidden under every model.
+        for t in [
+            build(&[("x", 1), ("x", 2)], &[1, 2]),
+            build(&[("x", 3)], &[1, 2]),
+            build(&[("x", 0)], &[1]),
+        ] {
+            assert_eq!(final_stores(&t), Ok(None), "{t}");
+            for m in ModelId::ALL {
+                assert_eq!(condition_feasible(&t, m), Ok(false));
+                assert!(!perple_enumerate::classify_under(&t, m));
+            }
+        }
+        // A repeated atom is one constraint; the initial value of an
+        // unwritten location is none.
+        let t = build(&[("x", 2), ("x", 2)], &[1, 2]);
+        assert_eq!(final_stores(&t).unwrap().map(|l| l.len()), Some(1));
+        let mut b = perple_model::TestBuilder::new("fin");
+        b.thread().store("x", 1).load("EAX", "y");
+        b.mem_cond("y", 0);
+        let t = b.build().unwrap();
+        assert_eq!(final_stores(&t), Ok(Some(Vec::new())));
+        assert_eq!(condition_feasible(&t, ModelId::Sc), Ok(true));
+        // A value two stores write is outside the fragment.
+        let t = build(&[("x", 1)], &[1, 1]);
+        assert_eq!(
+            final_stores(&t),
+            Err(SolveError::UnattributableValue { value: 1 })
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Suite audit: run every convertible test of the perpetual litmus suite
-//! (Table II) through the full PerpLE pipeline, verify the classification
-//! against the SC/TSO enumerators, and report target-outcome counts.
+//! (Table II) through the full PerpLE pipeline, check the paper's
+//! classification against the condition verdict (`perple::classify`), and
+//! report target-outcome counts.
 //!
 //! This is the Figure-9-style consistency audit a hardware team would run
 //! against a new implementation: forbidden targets firing would indicate a

@@ -3,9 +3,10 @@
 //! never produce false positives on the TSO substrate.
 
 use perple::{
-    classify, enumerate, Conversion, CountRequest, Counter, ExhaustiveCounter, HeuristicCounter,
-    ModelId, PerpleRunner, SimConfig,
+    Conversion, CountRequest, Counter, ExhaustiveCounter, HeuristicCounter, ModelId, PerpleRunner,
+    SimConfig,
 };
+use perple_enumerate::{classify, enumerate};
 use perple_model::generate::{from_cycle, generate_family, CycleEdge::*, Dir::*};
 
 #[test]

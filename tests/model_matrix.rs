@@ -9,9 +9,9 @@
 use perple::campaign::CampaignSpec;
 use perple::experiments::campaign::expand_items;
 use perple::{
-    classify, enumerate, BaselineRunner, Budget, Conversion, FaultPlan, ModelId, PerpleRunner,
-    SimConfig, SyncMode,
+    BaselineRunner, Budget, Conversion, FaultPlan, ModelId, PerpleRunner, SimConfig, SyncMode,
 };
+use perple_enumerate::{classify, enumerate};
 use perple_harness::perpetual::thread_specs;
 use perple_model::suite;
 use perple_sim::{Machine, RunOutput, Trace, TraceKind};

@@ -77,7 +77,7 @@ fn classification_is_consistent_between_solver_and_operational_views() {
     // the target's completions agree with the operational enumerator's
     // classification.
     for test in suite::convertible() {
-        let class = classify(&test);
+        let class = perple_enumerate::classify(&test);
         let completions = test.outcomes_matching_condition();
         for model in ModelId::ALL {
             let any_allowed = completions

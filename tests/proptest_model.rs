@@ -4,9 +4,10 @@
 //! substrate. Runs on the in-repo [`perple_repro::prop`] harness.
 
 use perple::{
-    classify, enumerate, Conversion, CountRequest, Counter, ExhaustiveCounter, HeuristicCounter,
-    ModelId, PerpleRunner, SimConfig,
+    Conversion, CountRequest, Counter, ExhaustiveCounter, HeuristicCounter, ModelId, PerpleRunner,
+    SimConfig,
 };
+use perple_enumerate::{classify, enumerate};
 use perple_model::{parser, printer, LitmusTest, TestBuilder};
 use perple_repro::prop::{run_cases, Gen};
 

@@ -1,14 +1,19 @@
-//! Robustness properties: the parser never panics on arbitrary input, the
-//! simulator only ever produces attributable values, counters respect their
-//! algorithmic invariants, and the generator's tests round-trip. Runs on the in-repo [`perple_repro::prop`] harness.
+//! Robustness properties: the litmus parser, the campaign-spec parser and
+//! the `--inject` fault-plan grammar never panic on arbitrary input (and
+//! reject it with a named error), the simulator only ever produces
+//! attributable values, counters respect their algorithmic invariants, and
+//! the generator's tests round-trip. Runs on the in-repo
+//! [`perple_repro::prop`] harness.
 
+use perple::campaign::{CampaignError, CampaignSpec};
 use perple::experiments::pool::map_parallel;
 use perple::{
-    Conversion, CountRequest, Counter, ExhaustiveCounter, HeuristicCounter, PerpleRunner, SimConfig,
+    parse_fault_plan, Conversion, CountRequest, Counter, ExhaustiveCounter, FaultPlan,
+    HeuristicCounter, PerpleError, PerpleRunner, SimConfig,
 };
 use perple_convert::KMap;
 use perple_model::{generate, parser, printer, suite};
-use perple_repro::prop::run_cases;
+use perple_repro::prop::{run_cases, Gen};
 
 #[test]
 fn parser_never_panics_on_arbitrary_input() {
@@ -36,6 +41,147 @@ fn parser_never_panics_on_litmus_shaped_garbage() {
             format!("X86 {name}\n{{ x=0; }}\n P0 | P1 ;\n {cell} | {cell} ;\nexists (0:EAX=0)");
         let _ = parser::parse(&src);
     });
+}
+
+/// A value for a spec or plan field: well-formed, boundary, or junk.
+fn field_value(g: &mut Gen) -> String {
+    let pick = [
+        "0",
+        "1",
+        "7",
+        "0x10",
+        "0xZZ",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "sb, mp",
+        "convertible",
+        "tso",
+        "X86-TSO",
+        "rf",
+        "exhaustive",
+        "batch",
+        "drop@t0:0..10",
+        "",
+        "Ω",
+        "a b",
+    ];
+    match g.below(3) {
+        0 => g.arbitrary_text(12).replace(['\n', '#'], " "),
+        _ => (*g.choose(&pick)).to_owned(),
+    }
+}
+
+#[test]
+fn campaign_spec_parser_never_panics_and_names_every_rejection() {
+    let keys = [
+        "name",
+        "tests",
+        "seeds",
+        "iterations",
+        "workers",
+        "retries",
+        "timeout_ms",
+        "frame_cap",
+        "inject",
+        "counter",
+        "model",
+        "journal_chunk",
+        "fsync",
+        "bogus",
+    ];
+    let accepted = std::cell::Cell::new(0u32);
+    run_cases(256, |g| {
+        let text = if g.chance(1, 4) {
+            g.arbitrary_text(200)
+        } else {
+            (0..g.below(8))
+                .map(|_| match g.below(8) {
+                    0 => g.arbitrary_text(20),
+                    1 => "# comment".to_owned(),
+                    _ => format!("{} = {}", g.choose(&keys), field_value(g)),
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        match CampaignSpec::parse(&text) {
+            // An accepted spec renders to text that parses back to it.
+            Ok(spec) => {
+                accepted.set(accepted.get() + 1);
+                assert_eq!(
+                    CampaignSpec::parse(&spec.render()).as_ref(),
+                    Ok(&spec),
+                    "{text:?}"
+                );
+            }
+            Err(CampaignError::Parse(msg)) => assert!(!msg.is_empty(), "{text:?}"),
+            Err(other) => panic!("{text:?}: rejected with a non-parse error {other}"),
+        }
+    });
+    assert!(accepted.get() > 0, "no generated spec was well-formed");
+}
+
+#[test]
+fn fault_plan_grammar_never_panics_and_names_every_rejection() {
+    let kinds = ["drop", "corrupt", "stuck", "reorder", "zap", ""];
+    let threads = [
+        "t0",
+        "t3",
+        "*",
+        "t",
+        "t-1",
+        "x0",
+        "t99999999999999999999",
+        "",
+    ];
+    let windows = [
+        "0..10", "5..5", "9..2", "0..", "..4", "a..b", "+1..+3", "10",
+    ];
+    let options = [
+        "p0.5", "p1", "p1.5", "pNaN", "p-0", "c5", "c0", "cX", "q1", "",
+    ];
+    let accepted = std::cell::Cell::new(0u32);
+    run_cases(512, |g| {
+        let text = if g.chance(1, 4) {
+            g.arbitrary_text(60)
+        } else {
+            (0..1 + g.below(3))
+                .map(|_| {
+                    let mut clause = format!(
+                        "{}@{}:{}",
+                        g.choose(&kinds),
+                        g.choose(&threads),
+                        g.choose(&windows)
+                    );
+                    for _ in 0..g.below(3) {
+                        clause.push(':');
+                        clause.push_str(g.choose::<&str>(&options));
+                    }
+                    if g.chance(1, 8) {
+                        clause = field_value(g);
+                    }
+                    clause
+                })
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        match parse_fault_plan(&text) {
+            // An accepted plan prints to a plan that parses back to it.
+            Ok(plan) => {
+                accepted.set(accepted.get() + 1);
+                assert_eq!(
+                    FaultPlan::parse(&plan.to_string()).as_ref(),
+                    Ok(&plan),
+                    "{text:?}"
+                );
+            }
+            Err(PerpleError::Config(msg)) => {
+                assert!(msg.starts_with("bad fault plan"), "{text:?}: {msg}");
+            }
+            Err(other) => panic!("{text:?}: rejected with a non-config error {other}"),
+        }
+    });
+    assert!(accepted.get() > 0, "no generated plan was well-formed");
 }
 
 #[test]

@@ -7,9 +7,11 @@
 //! verdicts stay monotone along the model lattice.
 //! A wall-clock race against the operational enumerator on the
 //! 3-thread corpus tests pins the asymptotic win the solver exists for.
-//! The per-model verdict campaigns, `perple run` and `perple audit` read
-//! (`forbidden_under`) is checked against the four-model operational
-//! classification it replaces, and the SC characterization of the suite's
+//! The condition-level verdict every caller reads (`condition_allowed`:
+//! campaigns, `perple run`/`audit`/`classify`/`solve`/`gen`, Table II) is
+//! checked against the enumerator's `classify_under` on every (test,
+//! model) of both corpora, final-memory conditions included, with the
+//! solver deciding every query. The SC characterization of the suite's
 //! targets and of generated critical cycles is checked on solver verdicts.
 //! The choice-free relations the converter builds its conditions from
 //! (`forced_relations`) are checked against every allowed witness.
@@ -18,8 +20,9 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use perple::campaign::CampaignSpec;
+use perple::condition_allowed;
 use perple::experiments::campaign::expand_tests;
-use perple::{classify, enumerate, forbidden_under, solver_forbidden};
+use perple_enumerate::{classify, classify_under, enumerate};
 use perple_model::generate::{from_cycle, generate_corpus, CycleEdge, Dir};
 use perple_model::suite;
 use perple_model::{AccessKind, InstrRef, LitmusTest, ModelId, Outcome};
@@ -209,27 +212,73 @@ fn per_model_verdicts_equal_the_operational_classification() {
     assert_eq!(tests.len(), 34, "convertible suite drifted");
     tests.extend(generated);
 
-    let (mut queries, mut abstained) = (0usize, 0usize);
+    let (mut queries, mut fallbacks) = (0usize, 0usize);
     for t in &tests {
         let c = classify(t);
         for model in ModelId::ALL {
             queries += 1;
-            abstained += usize::from(solver_forbidden(t, model).is_none());
+            fallbacks += usize::from(solve::condition_feasible(t, model).is_err());
             assert_eq!(
-                forbidden_under(t, model),
-                !c.allowed_under(model),
+                condition_allowed(t, model),
+                c.allowed_under(model),
                 "{} under {model}: per-model verdict disagrees with classify",
                 t.name()
             );
         }
     }
     assert_eq!(queries, 1908);
-    // The enumerator fallback must stay exercised: some campaign tests
-    // carry an outcome shape the solver abstains on.
-    assert!(
-        abstained > 0,
-        "the solver decided all {queries} queries; the fallback is untested"
-    );
+    assert_eq!(fallbacks, 0, "the solver must decide every campaign query");
+}
+
+#[test]
+fn condition_verdicts_match_the_enumerator_on_both_corpora() {
+    // The condition-level differential: register and final-memory atoms
+    // alike, every (test, model) of the hand-written and generated
+    // corpora is decided by the solver alone and equals the operational
+    // enumerator's verdict. Every allowed row of a final-memory condition
+    // replays its witness, co-last check included.
+    let mut tests = suite::full();
+    assert_eq!(tests.len(), 88, "corpus size drifted");
+    let generated = generate_corpus(6, 4);
+    assert_eq!(generated.len(), 1228, "generated corpus drifted");
+    tests.extend(generated);
+
+    let (mut queries, mut fallbacks, mut replayed) = (0usize, 0usize, 0usize);
+    for t in &tests {
+        for model in ModelId::ALL {
+            queries += 1;
+            let expected = classify_under(t, model);
+            match solve::condition_feasible(t, model) {
+                Ok(allowed) => assert_eq!(
+                    allowed,
+                    expected,
+                    "{} under {model}: solver and enumerator disagree on the condition",
+                    t.name()
+                ),
+                Err(_) => fallbacks += 1,
+            }
+            assert_eq!(condition_allowed(t, model), expected, "{}", t.name());
+        }
+        if !t.target().inspects_memory() {
+            continue;
+        }
+        let Some(last) = solve::final_stores(t).expect("corpus atoms are attributable") else {
+            continue;
+        };
+        for outcome in t.outcomes_matching_condition() {
+            for model in ModelId::ALL {
+                if let Ok(Verdict::Allowed(w)) = solve::solve_final(t, &outcome, &last, model) {
+                    solve::verify_final_witness(t, &outcome, &last, model, &w).unwrap_or_else(
+                        |e| panic!("{} under {model}: witness replay failed: {e}", t.name()),
+                    );
+                    replayed += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(queries, 5_264);
+    assert_eq!(fallbacks, 0, "the enumerator fallback ran on a corpus test");
+    assert!(replayed > 0, "no final-memory witness was replayed");
 }
 
 /// Asserts the solver decides every completion of `test`'s condition and
