@@ -296,7 +296,7 @@ mod tests {
     fn sb_fixture() -> SbFixture {
         let t = suite::sb();
         let conv = Conversion::convert(&t).unwrap();
-        let all = conv.all_outcomes(&t).unwrap();
+        let all = conv.all_outcomes(&t);
         SbFixture { conv, all }
     }
 

@@ -1106,7 +1106,7 @@ mod tests {
         let mut fell_back: Vec<String> = Vec::new();
         for test in suite::convertible() {
             let conv = Conversion::convert(&test).unwrap();
-            let all = conv.all_outcomes(&test).unwrap();
+            let all = conv.all_outcomes(&test);
             let owned = synthetic_bufs(&conv, n, 0xBEEF);
             let bufs: Vec<&[u64]> = owned.iter().map(Vec::as_slice).collect();
             let req = CountRequest::new(&bufs, n);
@@ -1140,7 +1140,7 @@ mod tests {
         for (name, n) in [("sb", 40u64), ("wrc", 24), ("podwr001", 14), ("mp", 48)] {
             let test = suite::by_name(name).unwrap();
             let conv = Conversion::convert(&test).unwrap();
-            let all = conv.all_outcomes(&test).unwrap();
+            let all = conv.all_outcomes(&test);
             for salt in 0..6u64 {
                 let owned = synthetic_bufs(&conv, n, salt);
                 let bufs: Vec<&[u64]> = owned.iter().map(Vec::as_slice).collect();
@@ -1237,7 +1237,7 @@ mod tests {
         assert_eq!(targets, ["cycle", "path"].into());
         let all: Vec<PerpetualOutcome> = generated
             .iter()
-            .flat_map(|(t, c)| c.all_outcomes(t).unwrap())
+            .flat_map(|(t, c)| c.all_outcomes(t))
             .map(|(o, _)| o)
             .collect();
         assert_eq!(

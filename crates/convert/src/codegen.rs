@@ -398,9 +398,9 @@ mod tests {
 
     fn sb_parts() -> (PerpetualTest, Vec<PerpetualOutcome>) {
         let t = suite::sb();
-        let kmap = KMap::compute(&t).unwrap();
-        let perp = PerpetualTest::convert(&t).unwrap();
-        let outcomes = convert_all_outcomes(&t, &perp, &kmap).unwrap();
+        let kmap = KMap::compute(&t);
+        let perp = PerpetualTest::convert(&t, &kmap);
+        let outcomes = convert_all_outcomes(&t, &perp, &kmap);
         (perp, outcomes)
     }
 
@@ -418,7 +418,7 @@ mod tests {
     #[test]
     fn asm_of_fenced_test_contains_mfence() {
         let t = suite::amd5();
-        let perp = PerpetualTest::convert(&t).unwrap();
+        let perp = PerpetualTest::convert(&t, &KMap::compute(&t));
         let files = emit_thread_asm(&perp);
         assert!(files[0].contains("mfence"));
         assert!(files[1].contains("mfence"));
@@ -438,12 +438,12 @@ mod tests {
     #[test]
     fn aarch64_fences_and_locked_ops_map_to_dmb_and_exclusives() {
         let amd5 = suite::amd5();
-        let p5 = PerpetualTest::convert(&amd5).unwrap();
+        let p5 = PerpetualTest::convert(&amd5, &KMap::compute(&amd5));
         let asm = emit_thread_asm_aarch64(&p5).join("\n");
         assert!(asm.contains("dmb ish"));
 
         let amd10 = suite::amd10();
-        let p10 = PerpetualTest::convert(&amd10).unwrap();
+        let p10 = PerpetualTest::convert(&amd10, &KMap::compute(&amd10));
         let asm = emit_thread_asm_aarch64(&p10).join("\n");
         assert!(asm.contains("ldxr"));
         assert!(asm.contains("stxr"));
@@ -453,7 +453,7 @@ mod tests {
     #[test]
     fn aarch64_multi_writer_sequences_use_mul() {
         let n5 = suite::n5();
-        let p = PerpetualTest::convert(&n5).unwrap();
+        let p = PerpetualTest::convert(&n5, &KMap::compute(&n5));
         let asm = emit_thread_asm_aarch64(&p).join("\n");
         assert!(asm.contains("mov x3, #2"));
         assert!(asm.contains("mul x2, x9, x3"));
@@ -485,9 +485,9 @@ mod tests {
     #[test]
     fn count_c_scans_existential_indices_for_mp() {
         let t = suite::mp();
-        let kmap = KMap::compute(&t).unwrap();
-        let perp = PerpetualTest::convert(&t).unwrap();
-        let target = crate::outcomes::PerpetualOutcome::convert_target(&t, &perp, &kmap).unwrap();
+        let kmap = KMap::compute(&t);
+        let perp = PerpetualTest::convert(&t, &kmap);
+        let target = crate::outcomes::PerpetualOutcome::convert_target(&t, &perp, &kmap);
         let c = emit_count_c(&perp, &target);
         assert!(c.contains("for (uint64_t m0 = 0; m0 < N && !hit; m0++)"));
     }

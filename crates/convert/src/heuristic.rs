@@ -355,10 +355,9 @@ mod tests {
 
     fn sb_heuristics() -> Vec<HeuristicOutcome> {
         let t = suite::sb();
-        let kmap = KMap::compute(&t).unwrap();
-        let perp = PerpetualTest::convert(&t).unwrap();
+        let kmap = KMap::compute(&t);
+        let perp = PerpetualTest::convert(&t, &kmap);
         convert_all_outcomes(&t, &perp, &kmap)
-            .unwrap()
             .iter()
             .map(|o| HeuristicOutcome::from_perpetual(o, perp.load_thread_count()))
             .collect()
@@ -398,9 +397,9 @@ mod tests {
         // Soundness: whenever p_out_h fires at n, the frame it derived must
         // satisfy the exhaustive p_out.
         let t = suite::sb();
-        let kmap = KMap::compute(&t).unwrap();
-        let perp = PerpetualTest::convert(&t).unwrap();
-        let outcomes = convert_all_outcomes(&t, &perp, &kmap).unwrap();
+        let kmap = KMap::compute(&t);
+        let perp = PerpetualTest::convert(&t, &kmap);
+        let outcomes = convert_all_outcomes(&t, &perp, &kmap);
         // Synthetic interleaved buffers.
         let n: u64 = 50;
         let b0: Vec<u64> = (0..n).map(|i| (i * 7) % (n + 1)).collect();
@@ -435,9 +434,9 @@ mod tests {
     #[test]
     fn mp_target_heuristic_derives_the_existential() {
         let t = suite::mp();
-        let kmap = KMap::compute(&t).unwrap();
-        let perp = PerpetualTest::convert(&t).unwrap();
-        let target = crate::outcomes::PerpetualOutcome::convert_target(&t, &perp, &kmap).unwrap();
+        let kmap = KMap::compute(&t);
+        let perp = PerpetualTest::convert(&t, &kmap);
+        let target = crate::outcomes::PerpetualOutcome::convert_target(&t, &perp, &kmap);
         let h = HeuristicOutcome::from_perpetual(&target, 1);
         assert!(h.fully_derived());
         // buf1 per iteration: [EAX(y), EBX(x)].
@@ -465,10 +464,9 @@ mod tests {
     #[test]
     fn whole_suite_builds_heuristics() {
         for t in suite::convertible() {
-            let kmap = KMap::compute(&t).unwrap();
-            let perp = PerpetualTest::convert(&t).unwrap();
-            let target =
-                crate::outcomes::PerpetualOutcome::convert_target(&t, &perp, &kmap).unwrap();
+            let kmap = KMap::compute(&t);
+            let perp = PerpetualTest::convert(&t, &kmap);
+            let target = crate::outcomes::PerpetualOutcome::convert_target(&t, &perp, &kmap);
             let h = HeuristicOutcome::from_perpetual(&target, perp.load_thread_count());
             assert_eq!(h.label(), "target");
             // The plan must assign every non-pivot index exactly once.

@@ -11,8 +11,6 @@ use std::collections::BTreeMap;
 
 use perple_model::{InstrRef, LitmusTest, LocId, ThreadId};
 
-use crate::ConvertError;
-
 /// The sequence parameters of one store instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeqAssignment {
@@ -38,35 +36,25 @@ pub struct KMap {
 }
 
 impl KMap {
-    /// Computes the sequence assignment of a test.
+    /// Computes the sequence assignment of a test that stores no value
+    /// twice to one location (no [`crate::ConvertError::DuplicateStoreValue`]
+    /// obstruction). Initial values play no part.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`ConvertError::DuplicateStoreValue`] if two store
-    /// instructions write the same value to the same location (the load
-    /// attribution the conversion relies on would be ambiguous), and
-    /// [`ConvertError::NonZeroInit`] if a location starts at a non-zero
-    /// value (zero is the reserved pre-sequence state).
-    pub fn compute(test: &LitmusTest) -> Result<Self, ConvertError> {
+    /// If two store instructions write the same value to one location.
+    pub fn compute(test: &LitmusTest) -> Self {
         let mut k_per_loc = vec![0u64; test.location_count()];
         let mut by_value = BTreeMap::new();
         for (loc_idx, k_slot) in k_per_loc.iter_mut().enumerate() {
             let loc = LocId(loc_idx as u8);
-            if test.init(loc) != 0 {
-                return Err(ConvertError::NonZeroInit {
-                    loc: test.location_name(loc).to_owned(),
-                });
-            }
             let values = test.distinct_store_values(loc);
             let k = values.len() as u64;
             *k_slot = k;
             for (i, v) in values.iter().enumerate() {
-                let instr = test.unique_store_of(loc, *v).ok_or_else(|| {
-                    ConvertError::DuplicateStoreValue {
-                        loc: test.location_name(loc).to_owned(),
-                        value: *v,
-                    }
-                })?;
+                let instr = test
+                    .unique_store_of(loc, *v)
+                    .expect("the convertibility gate refuses a value stored twice");
                 by_value.insert(
                     (loc, *v),
                     SeqAssignment {
@@ -79,10 +67,10 @@ impl KMap {
                 );
             }
         }
-        Ok(Self {
+        Self {
             k_per_loc,
             by_value,
-        })
+        }
     }
 
     /// `k_mem` for a location (0 if nothing stores to it).
@@ -130,7 +118,7 @@ mod tests {
     #[test]
     fn sb_has_k_one_everywhere() {
         let sb = suite::sb();
-        let km = KMap::compute(&sb).unwrap();
+        let km = KMap::compute(&sb);
         for loc_idx in 0..sb.location_count() {
             assert_eq!(km.k(LocId(loc_idx as u8)), 1);
         }
@@ -143,7 +131,7 @@ mod tests {
     #[test]
     fn two_writer_location_gets_k_two_with_distinct_offsets() {
         let t = suite::n5();
-        let km = KMap::compute(&t).unwrap();
+        let km = KMap::compute(&t);
         let x = t.location_id("x").unwrap();
         assert_eq!(km.k(x), 2);
         let a1 = km.assignment(x, 1).unwrap();
@@ -162,37 +150,8 @@ mod tests {
         b.thread().load("EAX", "x");
         b.reg_cond(0, "EAX", 0);
         let t = b.build().unwrap();
-        let km = KMap::compute(&t).unwrap();
+        let km = KMap::compute(&t);
         assert_eq!(km.k(t.location_id("x").unwrap()), 0);
-    }
-
-    #[test]
-    fn duplicate_store_values_are_rejected() {
-        let mut b = TestBuilder::new("dup");
-        b.thread().store("x", 1);
-        b.thread().store("x", 1).load("EAX", "x");
-        b.reg_cond(1, "EAX", 1);
-        let t = b.build().unwrap();
-        assert_eq!(
-            KMap::compute(&t).unwrap_err(),
-            ConvertError::DuplicateStoreValue {
-                loc: "x".into(),
-                value: 1
-            }
-        );
-    }
-
-    #[test]
-    fn nonzero_init_is_rejected() {
-        let mut b = TestBuilder::new("iv");
-        b.thread().load("EAX", "x");
-        b.init("x", 3);
-        b.reg_cond(0, "EAX", 3);
-        let t = b.build().unwrap();
-        assert_eq!(
-            KMap::compute(&t).unwrap_err(),
-            ConvertError::NonZeroInit { loc: "x".into() }
-        );
     }
 
     #[test]
@@ -204,7 +163,7 @@ mod tests {
         b.thread().store("x", 7);
         b.reg_cond(0, "EAX", 3);
         let t = b.build().unwrap();
-        let km = KMap::compute(&t).unwrap();
+        let km = KMap::compute(&t);
         let x = t.location_id("x").unwrap();
         assert_eq!(km.assignment(x, 3).unwrap().a, 1);
         assert_eq!(km.assignment(x, 7).unwrap().a, 2);
@@ -228,7 +187,7 @@ mod tests {
     #[test]
     fn whole_convertible_suite_computes_kmaps() {
         for t in suite::convertible() {
-            let km = KMap::compute(&t).unwrap_or_else(|e| panic!("{}: {e}", t.name()));
+            let km = KMap::compute(&t);
             for slot in t.load_slots() {
                 // Every loaded location that is stored to must have k >= 1.
                 if !t.stores_to(slot.loc).is_empty() {

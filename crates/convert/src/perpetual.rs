@@ -4,7 +4,6 @@
 use perple_model::{Instr, LitmusTest, LocId, RegId, ThreadId};
 
 use crate::kmap::KMap;
-use crate::ConvertError;
 
 /// One instruction of a perpetual litmus thread. The only change from the
 /// original test (Table I of the paper) is that stored constants become
@@ -59,29 +58,20 @@ pub struct PerpetualTest {
 }
 
 impl PerpetualTest {
-    /// Converts a litmus test to its perpetual counterpart.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConvertError::MemoryCondition`] for tests whose condition
-    /// inspects final shared memory (non-convertible, §V-C) and propagates
-    /// sequence-assignment errors from [`KMap::compute`].
-    pub fn convert(test: &LitmusTest) -> Result<Self, ConvertError> {
-        if test.target().inspects_memory() {
-            return Err(ConvertError::MemoryCondition);
-        }
-        let kmap = KMap::compute(test)?;
+    /// Converts a convertible litmus test to its perpetual counterpart,
+    /// storing the sequences `kmap` assigns.
+    pub(crate) fn convert(test: &LitmusTest, kmap: &KMap) -> Self {
         let threads = test
             .threads()
             .iter()
             .map(|instrs| {
                 instrs
                     .iter()
-                    .map(|instr| convert_instr(instr, &kmap))
+                    .map(|instr| convert_instr(instr, kmap))
                     .collect()
             })
             .collect();
-        Ok(Self {
+        Self {
             name: format!("{}.perp", test.name()),
             threads,
             locations: test.locations().to_vec(),
@@ -90,7 +80,7 @@ impl PerpetualTest {
                 .collect(),
             load_threads: test.load_threads(),
             reads_per_thread: test.reads_per_thread(),
-        })
+        }
     }
 
     /// Name of the perpetual test (`<original>.perp`).
@@ -175,11 +165,15 @@ mod tests {
     use super::*;
     use perple_model::suite;
 
+    fn perpetual(test: &LitmusTest) -> PerpetualTest {
+        PerpetualTest::convert(test, &KMap::compute(test))
+    }
+
     #[test]
     fn sb_converts_to_figure_4() {
         // Figure 4: thread 0 stores n+1 to x, thread 1 stores m+1 to y.
         let sb = suite::sb();
-        let p = PerpetualTest::convert(&sb).unwrap();
+        let p = perpetual(&sb);
         assert_eq!(p.name(), "sb.perp");
         let x = sb.location_id("x").unwrap();
         let y = sb.location_id("y").unwrap();
@@ -210,7 +204,7 @@ mod tests {
     #[test]
     fn fences_survive_conversion_unchanged() {
         let t = suite::amd5();
-        let p = PerpetualTest::convert(&t).unwrap();
+        let p = perpetual(&t);
         assert!(p.threads()[0].contains(&PerpInstr::Mfence));
         assert!(p.threads()[1].contains(&PerpInstr::Mfence));
     }
@@ -218,7 +212,7 @@ mod tests {
     #[test]
     fn two_writer_location_uses_k_two() {
         let t = suite::n5();
-        let p = PerpetualTest::convert(&t).unwrap();
+        let p = perpetual(&t);
         let x = t.location_id("x").unwrap();
         assert_eq!(p.k_per_loc()[x.index()], 2);
         // Thread 0 stores 2n+1, thread 1 stores 2n+2.
@@ -235,7 +229,7 @@ mod tests {
     #[test]
     fn xchg_store_part_uses_sequence() {
         let t = suite::amd10();
-        let p = PerpetualTest::convert(&t).unwrap();
+        let p = perpetual(&t);
         assert!(matches!(
             p.threads()[0][0],
             PerpInstr::Xchg { k: 1, a: 1, .. }
@@ -243,21 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn non_convertible_tests_are_rejected() {
-        for t in suite::non_convertible() {
-            assert_eq!(
-                PerpetualTest::convert(&t).unwrap_err(),
-                ConvertError::MemoryCondition,
-                "{}",
-                t.name()
-            );
-        }
-    }
-
-    #[test]
     fn whole_convertible_suite_converts() {
         for t in suite::convertible() {
-            let p = PerpetualTest::convert(&t).unwrap_or_else(|e| panic!("{}: {e}", t.name()));
+            let p = perpetual(&t);
             assert_eq!(p.thread_count(), t.thread_count());
             assert_eq!(p.load_thread_count(), t.load_thread_count());
             // Frame positions are consistent with load-thread order.

@@ -2,19 +2,19 @@
 //!
 //! Pins, per test, which [`ConvertError`] variant rejects it — and that the
 //! complement is exactly the paper's 54 tests (§V-C). Every entry today is
-//! `MemoryCondition`: all 54 carry a final-memory clause, which is the
+//! `MemoryClause`: all 54 carry a final-memory clause, which is the
 //! paper's sole source of non-convertibility in this suite. The table keeps
-//! the variant explicit anyway so a pipeline reordering (e.g. `KMap` errors
-//! surfacing first) shows up as a reviewed diff, not a silent change.
+//! the variant explicit anyway so a reordering of the obstruction list
+//! (e.g. store obstructions surfacing first) shows up as a reviewed diff,
+//! not a silent change.
 
-use perple_convert::diagnose::{diagnose, ConvertObstruction};
-use perple_convert::{Conversion, ConvertError};
+use perple_convert::{obstructions, Conversion, ConvertError};
 use perple_model::suite;
 
 /// Which variant a conversion error is, ignoring payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Variant {
-    MemoryCondition,
+    MemoryClause,
     DuplicateStoreValue,
     NonZeroInit,
     UnloadedRegister,
@@ -23,7 +23,7 @@ enum Variant {
 
 fn variant_of(e: &ConvertError) -> Variant {
     match e {
-        ConvertError::MemoryCondition => Variant::MemoryCondition,
+        ConvertError::MemoryClause { .. } => Variant::MemoryClause,
         ConvertError::DuplicateStoreValue { .. } => Variant::DuplicateStoreValue,
         ConvertError::NonZeroInit { .. } => Variant::NonZeroInit,
         ConvertError::UnloadedRegister { .. } => Variant::UnloadedRegister,
@@ -34,60 +34,60 @@ fn variant_of(e: &ConvertError) -> Variant {
 /// `(test name, expected rejection variant)` for every non-convertible
 /// test, in name order.
 const EXPECTED: &[(&str, Variant)] = &[
-    ("2+2w", Variant::MemoryCondition),
-    ("2+2w+mfence+po", Variant::MemoryCondition),
-    ("2+2w+mfences", Variant::MemoryCondition),
-    ("2+2w+po+mfence", Variant::MemoryCondition),
-    ("3+3w", Variant::MemoryCondition),
-    ("3+3w+mfence+mfence+po", Variant::MemoryCondition),
-    ("3+3w+mfence+po+po", Variant::MemoryCondition),
-    ("3+3w+mfences", Variant::MemoryCondition),
-    ("3w+final1", Variant::MemoryCondition),
-    ("3w+final2", Variant::MemoryCondition),
-    ("3w+final3", Variant::MemoryCondition),
-    ("3w+xchgs", Variant::MemoryCondition),
-    ("co-2w", Variant::MemoryCondition),
-    ("co-2w+po+xchg", Variant::MemoryCondition),
-    ("co-2w+xchg+po", Variant::MemoryCondition),
-    ("co-2w+xchgs", Variant::MemoryCondition),
-    ("co-lb+final1", Variant::MemoryCondition),
-    ("co-lb+final1+mfences", Variant::MemoryCondition),
-    ("co-lb+final2", Variant::MemoryCondition),
-    ("co-lb+final2+mfences", Variant::MemoryCondition),
-    ("co-mp", Variant::MemoryCondition),
-    ("co-mp+mfence+po", Variant::MemoryCondition),
-    ("co-mp+mfences", Variant::MemoryCondition),
-    ("co-mp+po+mfence", Variant::MemoryCondition),
-    ("co-rr", Variant::MemoryCondition),
-    ("co-rr+mfence+po", Variant::MemoryCondition),
-    ("co-rr+mfences", Variant::MemoryCondition),
-    ("co-rr+po+mfence", Variant::MemoryCondition),
-    ("co-sb", Variant::MemoryCondition),
-    ("co-sb+mfence+po", Variant::MemoryCondition),
-    ("co-sb+mfences", Variant::MemoryCondition),
-    ("co-sb+po+mfence", Variant::MemoryCondition),
-    ("iriw+final", Variant::MemoryCondition),
-    ("iriw+final+mfence+po", Variant::MemoryCondition),
-    ("iriw+final+mfences", Variant::MemoryCondition),
-    ("iriw+final+po+mfence", Variant::MemoryCondition),
-    ("mp+final", Variant::MemoryCondition),
-    ("mp+final+mfence+po", Variant::MemoryCondition),
-    ("mp+final+mfences", Variant::MemoryCondition),
-    ("mp+final+po+mfence", Variant::MemoryCondition),
-    ("r", Variant::MemoryCondition),
-    ("r+mfence+po", Variant::MemoryCondition),
-    ("r+mfences", Variant::MemoryCondition),
-    ("r+po+mfence", Variant::MemoryCondition),
-    ("s", Variant::MemoryCondition),
-    ("s+mfence+po", Variant::MemoryCondition),
-    ("s+mfences", Variant::MemoryCondition),
-    ("s+po+mfence", Variant::MemoryCondition),
-    ("sb+final", Variant::MemoryCondition),
-    ("sb+final+mfence+po", Variant::MemoryCondition),
-    ("sb+final+mfences", Variant::MemoryCondition),
-    ("sb+final+po+mfence", Variant::MemoryCondition),
-    ("wrc+final", Variant::MemoryCondition),
-    ("wrc+final+mfence", Variant::MemoryCondition),
+    ("2+2w", Variant::MemoryClause),
+    ("2+2w+mfence+po", Variant::MemoryClause),
+    ("2+2w+mfences", Variant::MemoryClause),
+    ("2+2w+po+mfence", Variant::MemoryClause),
+    ("3+3w", Variant::MemoryClause),
+    ("3+3w+mfence+mfence+po", Variant::MemoryClause),
+    ("3+3w+mfence+po+po", Variant::MemoryClause),
+    ("3+3w+mfences", Variant::MemoryClause),
+    ("3w+final1", Variant::MemoryClause),
+    ("3w+final2", Variant::MemoryClause),
+    ("3w+final3", Variant::MemoryClause),
+    ("3w+xchgs", Variant::MemoryClause),
+    ("co-2w", Variant::MemoryClause),
+    ("co-2w+po+xchg", Variant::MemoryClause),
+    ("co-2w+xchg+po", Variant::MemoryClause),
+    ("co-2w+xchgs", Variant::MemoryClause),
+    ("co-lb+final1", Variant::MemoryClause),
+    ("co-lb+final1+mfences", Variant::MemoryClause),
+    ("co-lb+final2", Variant::MemoryClause),
+    ("co-lb+final2+mfences", Variant::MemoryClause),
+    ("co-mp", Variant::MemoryClause),
+    ("co-mp+mfence+po", Variant::MemoryClause),
+    ("co-mp+mfences", Variant::MemoryClause),
+    ("co-mp+po+mfence", Variant::MemoryClause),
+    ("co-rr", Variant::MemoryClause),
+    ("co-rr+mfence+po", Variant::MemoryClause),
+    ("co-rr+mfences", Variant::MemoryClause),
+    ("co-rr+po+mfence", Variant::MemoryClause),
+    ("co-sb", Variant::MemoryClause),
+    ("co-sb+mfence+po", Variant::MemoryClause),
+    ("co-sb+mfences", Variant::MemoryClause),
+    ("co-sb+po+mfence", Variant::MemoryClause),
+    ("iriw+final", Variant::MemoryClause),
+    ("iriw+final+mfence+po", Variant::MemoryClause),
+    ("iriw+final+mfences", Variant::MemoryClause),
+    ("iriw+final+po+mfence", Variant::MemoryClause),
+    ("mp+final", Variant::MemoryClause),
+    ("mp+final+mfence+po", Variant::MemoryClause),
+    ("mp+final+mfences", Variant::MemoryClause),
+    ("mp+final+po+mfence", Variant::MemoryClause),
+    ("r", Variant::MemoryClause),
+    ("r+mfence+po", Variant::MemoryClause),
+    ("r+mfences", Variant::MemoryClause),
+    ("r+po+mfence", Variant::MemoryClause),
+    ("s", Variant::MemoryClause),
+    ("s+mfence+po", Variant::MemoryClause),
+    ("s+mfences", Variant::MemoryClause),
+    ("s+po+mfence", Variant::MemoryClause),
+    ("sb+final", Variant::MemoryClause),
+    ("sb+final+mfence+po", Variant::MemoryClause),
+    ("sb+final+mfences", Variant::MemoryClause),
+    ("sb+final+po+mfence", Variant::MemoryClause),
+    ("wrc+final", Variant::MemoryClause),
+    ("wrc+final+mfence", Variant::MemoryClause),
 ];
 
 #[test]
@@ -119,19 +119,22 @@ fn non_convertible_complement_is_exactly_the_54_expected_tests() {
 }
 
 #[test]
-fn rejection_variant_agrees_with_the_structural_diagnosis() {
-    // Every MemoryCondition rejection must show up in diagnose() as at
+fn rejection_variant_agrees_with_the_obstruction_list() {
+    // Every MemoryClause rejection must show up in obstructions() as at
     // least one MemoryClause obstruction pointing at a real atom.
     for (name, variant) in EXPECTED {
         let t = suite::by_name(name).unwrap_or_else(|| panic!("{name}: not in suite"));
-        assert_eq!(*variant, Variant::MemoryCondition);
-        let mem_clauses: Vec<_> = diagnose(&t)
+        assert_eq!(*variant, Variant::MemoryClause);
+        let mem_clauses: Vec<_> = obstructions(&t)
             .into_iter()
-            .filter(|o| matches!(o, ConvertObstruction::MemoryClause { .. }))
+            .filter(|o| matches!(o, ConvertError::MemoryClause { .. }))
             .collect();
-        assert!(!mem_clauses.is_empty(), "{name}: no MemoryClause diagnosis");
+        assert!(
+            !mem_clauses.is_empty(),
+            "{name}: no MemoryClause obstruction"
+        );
         for o in mem_clauses {
-            let ConvertObstruction::MemoryClause { atom, .. } = o else {
+            let ConvertError::MemoryClause { atom, .. } = o else {
                 unreachable!()
             };
             assert!(atom < t.target().atoms().len(), "{name}: atom out of range");

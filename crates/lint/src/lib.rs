@@ -57,6 +57,7 @@ mod rules;
 use std::fmt;
 
 use perple_analysis::jsonout::Json;
+use perple_convert::Conversion;
 use perple_model::{parser, printer, LitmusTest, ModelError, ModelId, SourceMap, Span};
 
 /// Diagnostic severity, ordered `Note < Warning < Error`.
@@ -617,10 +618,14 @@ pub fn lint_test(test: &LitmusTest, cfg: &LintConfig) -> TestReport {
 /// Runs every rule over an already-parsed test and its source map.
 pub fn lint_parsed(test: &LitmusTest, src: &str, map: &SourceMap, cfg: &LintConfig) -> TestReport {
     let mut diagnostics = Vec::new();
-    rules::l001_sequence_overflow(test, map, cfg, &mut diagnostics);
-    rules::l002_non_convertible(test, map, &mut diagnostics);
-    rules::l003_condition_vacuity(test, map, cfg, &mut diagnostics);
-    rules::l004_heuristic_ambiguity(test, map, &mut diagnostics);
+    let gate = Conversion::convert_or_obstructions(test).map(|conv| {
+        let all = conv.all_outcomes(test);
+        (conv, all)
+    });
+    rules::l001_sequence_overflow(test, map, cfg, &gate, &mut diagnostics);
+    rules::l002_non_convertible(&gate, map, &mut diagnostics);
+    rules::l003_condition_vacuity(test, map, cfg, &gate, &mut diagnostics);
+    rules::l004_heuristic_ambiguity(&gate, map, &mut diagnostics);
     rules::l005_codegen_hygiene(test, map, &mut diagnostics);
     rules::l006_outcome_coverage(test, map, &mut diagnostics);
     rules::l007_fence_redundancy(test, map, &mut diagnostics);
@@ -630,7 +635,7 @@ pub fn lint_parsed(test: &LitmusTest, src: &str, map: &SourceMap, cfg: &LintConf
         name: test.name().to_owned(),
         origin: None,
         source: src.to_owned(),
-        convertible: perple_convert::is_convertible(test),
+        convertible: gate.is_ok(),
         diagnostics,
     }
 }

@@ -8,8 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use perple_convert::diagnose::{diagnose, ConvertObstruction};
-use perple_convert::{Conversion, KMap};
+use perple_convert::{Conversion, ConvertError, HeuristicOutcome, KMap, PerpetualOutcome};
 use perple_model::{
     CondAtom, Instr, LitmusTest, LocId, ModelId, Outcome, Quantifier, SourceMap, Span, TestBuilder,
     ThreadId,
@@ -31,22 +30,38 @@ fn instr_span(map: &SourceMap, thread: usize, index: usize) -> Span {
     map.instr(thread, index).unwrap_or_default()
 }
 
+/// The converter's verdict on one test, computed once by
+/// [`crate::lint_parsed`] for L001–L004: the conversion with its whole
+/// outcome space, or every obstruction.
+pub(crate) type Gate =
+    Result<(Conversion, Vec<(PerpetualOutcome, HeuristicOutcome)>), Vec<ConvertError>>;
+
 /// L001: every arithmetic sequence `k*n + a` must stay within the value
 /// width for the configured iteration count. An overflowing sequence wraps
 /// and silently breaks iteration attribution, so this is an error; the
 /// message names the largest safe iteration count.
+///
+/// The sequences are defined whenever no init or store obstruction stands
+/// in the way, so a test refused only for its condition is checked too.
 pub(crate) fn l001_sequence_overflow(
     test: &LitmusTest,
     map: &SourceMap,
     cfg: &LintConfig,
+    gate: &Gate,
     out: &mut Vec<Diagnostic>,
 ) {
-    let Ok(kmap) = KMap::compute(test) else {
-        return; // non-convertible; L002 explains why
-    };
     if cfg.iterations == 0 {
         return;
     }
+    let computed;
+    let kmap = match gate {
+        Ok((conv, _)) => &conv.kmap,
+        Err(obstructions) if obstructions.iter().all(|o| o.atom_index().is_some()) => {
+            computed = KMap::compute(test);
+            &computed
+        }
+        Err(_) => return, // L002 explains why
+    };
     let max: u128 = if cfg.value_bits >= 128 {
         u128::MAX
     } else {
@@ -84,16 +99,19 @@ pub(crate) fn l001_sequence_overflow(
 /// Notes, not warnings: the 54-test complement of the suite is *expected*
 /// to be non-convertible, and a clean corpus must stay clean under
 /// `--deny warnings`.
-pub(crate) fn l002_non_convertible(test: &LitmusTest, map: &SourceMap, out: &mut Vec<Diagnostic>) {
-    for obstruction in diagnose(test) {
-        let span = match &obstruction {
-            ConvertObstruction::MemoryClause { atom, .. }
-            | ConvertObstruction::UnloadedRegister { atom, .. }
-            | ConvertObstruction::NoWriterForValue { atom, .. } => {
+pub(crate) fn l002_non_convertible(gate: &Gate, map: &SourceMap, out: &mut Vec<Diagnostic>) {
+    let Err(obstructions) = gate else {
+        return;
+    };
+    for obstruction in obstructions {
+        let span = match obstruction {
+            ConvertError::MemoryClause { atom, .. }
+            | ConvertError::UnloadedRegister { atom, .. }
+            | ConvertError::NoWriterForValue { atom, .. } => {
                 map.cond_atom(*atom).unwrap_or_else(|| map.condition())
             }
-            ConvertObstruction::NonZeroInit { loc, .. } => map.init_entry(loc).unwrap_or_default(),
-            ConvertObstruction::DuplicateStoreValue { second, .. } => {
+            ConvertError::NonZeroInit { loc, .. } => map.init_entry(loc).unwrap_or_default(),
+            ConvertError::DuplicateStoreValue { second, .. } => {
                 instr_span(map, second.thread.index(), second.index as usize)
             }
         };
@@ -102,7 +120,7 @@ pub(crate) fn l002_non_convertible(test: &LitmusTest, map: &SourceMap, out: &mut
             RuleId::L002,
             Severity::Note,
             span,
-            format!("not convertible: {obstruction}"),
+            obstruction.to_string(),
         );
     }
 }
@@ -118,6 +136,7 @@ pub(crate) fn l003_condition_vacuity(
     test: &LitmusTest,
     map: &SourceMap,
     cfg: &LintConfig,
+    gate: &Gate,
     out: &mut Vec<Diagnostic>,
 ) {
     // Litmus level: the condition body against the register outcome space.
@@ -145,10 +164,7 @@ pub(crate) fn l003_condition_vacuity(
 
     // Conversion level: per-outcome cross-check of the exhaustive perpetual
     // condition p_out against the solver.
-    let Ok(conv) = Conversion::convert(test) else {
-        return;
-    };
-    let Ok(all) = conv.all_outcomes(test) else {
+    let Ok((_, all)) = gate else {
         return;
     };
     let by_label: BTreeMap<String, perple_model::Outcome> = test
@@ -156,7 +172,7 @@ pub(crate) fn l003_condition_vacuity(
         .into_iter()
         .map(|o| (o.label(), o))
         .collect();
-    for (perp, _heur) in &all {
+    for (perp, _heur) in all {
         let tautological =
             perp.conds().is_empty() && perp.exist_threads().is_empty() && !perp.is_infeasible();
         if !tautological && !perp.is_infeasible() {
@@ -208,12 +224,8 @@ pub(crate) fn l003_condition_vacuity(
 /// Both findings are notes: legitimate suite tests (iriw, co-iriw,
 /// safe012, safe027) have targets that genuinely need lockstep, so this is
 /// a property to surface, not a defect to gate on.
-pub(crate) fn l004_heuristic_ambiguity(
-    test: &LitmusTest,
-    map: &SourceMap,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Ok(conv) = Conversion::convert(test) else {
+pub(crate) fn l004_heuristic_ambiguity(gate: &Gate, map: &SourceMap, out: &mut Vec<Diagnostic>) {
+    let Ok((conv, all)) = gate else {
         return;
     };
     if !conv.target_heuristic.fully_derived() {
@@ -227,9 +239,6 @@ pub(crate) fn l004_heuristic_ambiguity(
                 .to_owned(),
         );
     }
-    let Ok(all) = conv.all_outcomes(test) else {
-        return;
-    };
     let ambiguous: Vec<&str> = all
         .iter()
         .filter(|(_, h)| !h.fully_derived())

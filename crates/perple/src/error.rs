@@ -165,7 +165,11 @@ mod tests {
 
     #[test]
     fn convert_errors_wrap() {
-        let e: PerpleError = ConvertError::MemoryCondition.into();
+        let e: PerpleError = ConvertError::NonZeroInit {
+            loc: "x".into(),
+            value: 1,
+        }
+        .into();
         assert_eq!(e.kind(), "convert");
         assert!(!e.retryable());
     }

@@ -111,7 +111,7 @@ pub fn scheduler_sweep(cfg: &ExperimentConfig) -> Vec<SchedulerSweepPoint> {
     let test = suite::sb();
     // Invariant: sb is the paper's canonical convertible test.
     let conv = Conversion::convert(&test).expect("converts");
-    let all = conv.all_outcomes(&test).expect("outcomes");
+    let all = conv.all_outcomes(&test);
     let configs: [(&'static str, SimConfig); 3] = [
         (
             "quiet (no noise)",

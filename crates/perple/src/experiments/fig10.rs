@@ -57,10 +57,8 @@ pub fn fig10(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
         .iter()
         .map(|test| {
             let conv = Conversion::convert(test).expect("suite test converts");
-            let (ph, px) = {
-                let (h, x) = super::perple_detection_both(test, &conv, cfg);
-                (h.time, x.time)
-            };
+            let (h, x, _) = super::perple_detection_both_timed(test, &conv, cfg);
+            let (ph, px) = (h.time, x.time);
             let mut litmus7 = [ModelTime::default(); 5];
             for (i, mode) in SyncMode::ALL.iter().enumerate() {
                 litmus7[i] = baseline_detection(test, *mode, cfg).time;

@@ -55,7 +55,7 @@ pub fn fig11(iteration_counts: &[u64], base: &ExperimentConfig) -> Vec<Fig11Poin
 
             for (test, conv) in tests.iter().zip(&convs) {
                 let user = baseline_detection(test, SyncMode::User, &cfg);
-                let perple = perple_detection(test, conv, &cfg, true);
+                let perple = perple_detection(test, conv, &cfg);
                 if perple.occurrences > 0 {
                     perple_nonzero += 1;
                 }

@@ -43,7 +43,7 @@ pub fn fig13(cfg: &ExperimentConfig) -> Vec<Fig13Entry> {
             // conversions cannot fail.
             let test = suite::by_name(name).expect("figure test exists");
             let conv = Conversion::convert(&test).expect("convertible");
-            let all = conv.all_outcomes(&test).expect("outcomes convert");
+            let all = conv.all_outcomes(&test);
             let labels: Vec<String> = all.iter().map(|(o, _)| o.label().to_owned()).collect();
 
             // PerpLE heuristic, per-outcome sampling.

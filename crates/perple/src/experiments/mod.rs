@@ -313,22 +313,15 @@ fn run_stage(
     }
 }
 
-/// Runs PerpLE on one test and measures target detection with the chosen
-/// counter. Returns the detection plus the raw occurrence count.
+/// Runs PerpLE on one test and measures target detection with the
+/// heuristic counter (PerpLE-h). Returns the detection plus the raw
+/// occurrence count.
 ///
 /// Honors [`ExperimentConfig::timeout_ms`] (each stage watchdogged,
 /// partial results on expiry) and [`ExperimentConfig::fault_plan`].
-pub fn perple_detection(
-    test: &LitmusTest,
-    conv: &Conversion,
-    cfg: &ExperimentConfig,
-    heuristic: bool,
-) -> Detection {
-    let seed = derive_seed(
-        cfg.seed,
-        test.name(),
-        if heuristic { "perple-h" } else { "perple-x" },
-    );
+pub fn perple_detection(test: &LitmusTest, conv: &Conversion, cfg: &ExperimentConfig) -> Detection {
+    // The seed tag fixes the schedules behind `results/overall.txt` and Fig 11.
+    let seed = derive_seed(cfg.seed, test.name(), "perple-h");
     let mut runner = PerpleRunner::new(cfg.sim_config(seed));
     let run = run_stage(&mut runner, conv, cfg);
     let n = run.iterations;
@@ -338,12 +331,7 @@ pub fn perple_detection(
     if let Some(b) = budget.as_ref() {
         req = req.with_budget(b);
     }
-    let count = if heuristic {
-        HeuristicCounter::single(&conv.target_heuristic).count(&req)
-    } else {
-        ExhaustiveCounter::single(&conv.target_exhaustive)
-            .count(&req.with_frame_cap(cfg.exhaustive_frame_cap))
-    };
+    let count = HeuristicCounter::single(&conv.target_heuristic).count(&req);
     Detection {
         occurrences: count.counts[0],
         time: ModelTime::new(run.exec_cycles, count.frames_examined),
@@ -352,19 +340,10 @@ pub fn perple_detection(
 
 /// Runs PerpLE **once** and measures target detection under both counters
 /// (the paper's runtime comparisons share the execution and differ only in
-/// counting). Returns `(heuristic, exhaustive)`.
-pub fn perple_detection_both(
-    test: &LitmusTest,
-    conv: &Conversion,
-    cfg: &ExperimentConfig,
-) -> (Detection, Detection) {
-    let (heur, exh, _) = perple_detection_both_timed(test, conv, cfg);
-    (heur, exh)
-}
-
-/// [`perple_detection_both`] plus per-stage wall-clock timings (the run
-/// stage and the combined counting stage; the caller supplies conversion
-/// time, which happens once per test outside this function).
+/// counting). Returns `(heuristic, exhaustive)` plus per-stage wall-clock
+/// timings (the run stage and the combined counting stage; the caller
+/// supplies conversion time, which happens once per test outside this
+/// function).
 pub fn perple_detection_both_timed(
     test: &LitmusTest,
     conv: &Conversion,
@@ -432,7 +411,7 @@ mod tests {
         let t = suite::sb();
         let conv = Conversion::convert(&t).unwrap();
         let cfg = ExperimentConfig::default().with_iterations(2_000);
-        let perple = perple_detection(&t, &conv, &cfg, true);
+        let perple = perple_detection(&t, &conv, &cfg);
         let user = baseline_detection(&t, SyncMode::User, &cfg);
         assert!(perple.occurrences > 0);
         assert!(

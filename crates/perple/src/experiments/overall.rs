@@ -62,7 +62,7 @@ pub fn overall(cfg: &ExperimentConfig) -> OverallImpact {
         let user = baseline_detection(test, SyncMode::User, cfg);
         match Conversion::convert(test) {
             Ok(conv) => {
-                let perple = perple_detection(test, &conv, cfg, true);
+                let perple = perple_detection(test, &conv, cfg);
                 let improvement = if allowed.contains(&test.name()) {
                     relative_improvement(perple, user)
                 } else {

@@ -291,7 +291,10 @@ mod tests {
     #[test]
     fn non_convertible_tests_are_rejected_by_the_engine() {
         let co = suite::by_name("2+2w").unwrap();
-        assert_eq!(Perple::new(&co).unwrap_err(), ConvertError::MemoryCondition);
+        assert!(matches!(
+            Perple::new(&co).unwrap_err(),
+            ConvertError::MemoryClause { .. }
+        ));
     }
 
     #[test]

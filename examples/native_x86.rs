@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Full outcome variety.
-    let all = conv.all_outcomes(&sb)?;
+    let all = conv.all_outcomes(&sb);
     let req = CountRequest::new(&bufs, iterations);
     println!("outcome variety (per-outcome frame sampling):");
     for (o, h) in &all {

@@ -31,12 +31,7 @@ fn every_convertible_test_emits_complete_artifacts() {
         }
 
         // One COUNT and one COUNTH per outcome.
-        for (o, (outcome, heuristic)) in conv
-            .all_outcomes(&test)
-            .expect("outcomes convert")
-            .iter()
-            .enumerate()
-        {
+        for (o, (outcome, heuristic)) in conv.all_outcomes(&test).iter().enumerate() {
             let count_c = codegen::emit_count_c(&conv.perpetual, outcome);
             let counth_c = codegen::emit_counth_c(&conv.perpetual, heuristic);
             assert!(count_c.contains("void COUNT("), "{} #{o}", test.name());

@@ -111,7 +111,7 @@ fn every_corpus_outcome_counts_identically_fallback_pinned() {
     let mut fell_back = Vec::new();
     for test in suite::convertible() {
         let conv = Conversion::convert(&test).expect("convertible suite test");
-        let all = conv.all_outcomes(&test).expect("outcomes");
+        let all = conv.all_outcomes(&test);
         let mut runner = PerpleRunner::new(SimConfig::default().with_seed(0xA11));
         let run = runner.run(&conv.perpetual, n);
         let bufs = run.bufs();
@@ -145,7 +145,7 @@ fn every_generated_three_load_outcome_counts_identically_fallback_pinned() {
         if name == base || name.starts_with(&format!("{base}-f")) {
             expected.extend(labels.iter().map(|l| format!("{name}/{l}")));
         }
-        let all = conv.all_outcomes(test).expect("outcomes");
+        let all = conv.all_outcomes(test);
         let mut runner = PerpleRunner::new(SimConfig::default().with_seed(0x7E3));
         let run = runner.run(&conv.perpetual, n);
         let garbage: Vec<Vec<Vec<u64>>> = (0..3).map(|salt| garbage_bufs(conv, n, salt)).collect();
@@ -240,7 +240,7 @@ fn three_load_exhaustive_scan_covers_the_cubic_frame_space() {
     // frames, and rf still matches the target count.
     let test = suite::podwr001();
     let conv = Conversion::convert(&test).expect("converts");
-    let all = conv.all_outcomes(&test).expect("outcomes");
+    let all = conv.all_outcomes(&test);
     let n = 40u64;
     let mut runner = PerpleRunner::new(SimConfig::default().with_seed(0x3D));
     let run = runner.run(&conv.perpetual, n);

@@ -64,7 +64,7 @@ fn full_suite_split_is_34_54_and_only_convertible_run_perpetually() {
                 converted += 1;
                 assert_eq!(conv.perpetual.thread_count(), test.thread_count());
             }
-            Err(perple::ConvertError::MemoryCondition) => rejected += 1,
+            Err(perple::ConvertError::MemoryClause { .. }) => rejected += 1,
             Err(e) => panic!("{}: unexpected conversion error {e}", test.name()),
         }
     }
