@@ -25,7 +25,10 @@
 //! [`resume_campaign`] replays the journal (amputating a torn trailing
 //! frame), serves journaled items from the replay and unchanged items from
 //! the cache, executes only the true remainder, and finalizes — producing
-//! `items.json` **bit-identical** to an uninterrupted run.
+//! `items.json` **bit-identical** to an uninterrupted run. The two entry
+//! points differ only in how they open the run; partition, execution and
+//! finalization are one body, and a fresh run is a resume whose journal
+//! holds nothing.
 //!
 //! Cache policy: only **clean** outcomes are cached — not quarantined, all
 //! attempts on the nominal seed (degraded or fault-bearing runs are still
@@ -258,141 +261,55 @@ pub struct RunSummary {
     pub recovered: usize,
 }
 
-/// Runs one campaign with the default [`DurabilityPolicy`].
+/// Runs one campaign: reserve the id ([`RunStore::begin_run`]), write the
+/// pending marker, create the journal, then partition, execute and
+/// finalize in the body a resume shares.
+///
+/// `on_item(slot, record)` is called exactly once per expanded item, as
+/// soon as that item's outcome is final — for cache hits during the
+/// partition (in slot order), for misses as each journaled chunk
+/// completes. `None` marks a lost item (the executor produced no record;
+/// nothing will be stored for that slot). This is how `perple serve`
+/// streams records while a campaign is still running — every observed
+/// record is already durable (journaled or cached) when the callback
+/// fires.
 ///
 /// # Errors
-/// [`CampaignError`] on store or cache I/O failure.
+/// [`CampaignError`] on store or cache I/O failure or injected crash.
+#[allow(clippy::too_many_arguments)]
 pub fn run_campaign(
     store: &RunStore,
     cache: &ArtifactCache,
     spec: &CampaignSpec,
     items: &[CampaignItem],
     meta: &RunMeta,
-    exec: impl FnMut(&[CampaignItem]) -> Vec<Option<ExecOutcome>>,
-) -> Result<RunSummary, CampaignError> {
-    run_campaign_with(
-        store,
-        cache,
-        spec,
-        items,
-        meta,
-        DurabilityPolicy::default(),
-        exec,
-    )
-}
-
-/// Runs one campaign: reserve id → journal open → cache partition →
-/// execute misses in chunks (journaling each) → cache clean outcomes →
-/// finalize the run.
-///
-/// # Errors
-/// [`CampaignError`] on store or cache I/O failure or injected crash.
-pub fn run_campaign_with(
-    store: &RunStore,
-    cache: &ArtifactCache,
-    spec: &CampaignSpec,
-    items: &[CampaignItem],
-    meta: &RunMeta,
     policy: DurabilityPolicy,
     exec: impl FnMut(&[CampaignItem]) -> Vec<Option<ExecOutcome>>,
+    on_item: impl FnMut(usize, Option<&OutcomeRecord>),
 ) -> Result<RunSummary, CampaignError> {
-    run_campaign_observed(store, cache, spec, items, meta, policy, exec, |_, _| {})
+    let open = || {
+        let id = store.begin_run(&spec.name)?;
+        store.write_pending(&id, &meta.to_pending_json(&id, spec))?;
+        let journal = create_journal(store, &id, spec, items.len(), policy)?;
+        Ok((id, journal, HashMap::new()))
+    };
+    drive(store, cache, spec, items, meta, policy, exec, on_item, open)
 }
 
-/// [`run_campaign_with`] with an item observer: `on_item(slot, record)` is
-/// called exactly once per expanded item, as soon as that item's outcome
-/// is final — for cache hits during the partition (in slot order), for
-/// misses as each journaled chunk completes. `None` marks a lost item
-/// (the executor produced no record; nothing will be stored for that
-/// slot). This is how `perple serve` streams records while a campaign is
-/// still running — every observed record is already durable (journaled or
-/// cached) when the callback fires.
-///
-/// # Errors
-/// As for [`run_campaign_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_observed(
-    store: &RunStore,
-    cache: &ArtifactCache,
-    spec: &CampaignSpec,
-    items: &[CampaignItem],
-    meta: &RunMeta,
-    policy: DurabilityPolicy,
-    mut exec: impl FnMut(&[CampaignItem]) -> Vec<Option<ExecOutcome>>,
-    mut on_item: impl FnMut(usize, Option<&OutcomeRecord>),
-) -> Result<RunSummary, CampaignError> {
-    let t0 = Instant::now();
-    let _span = perple_obs::trace::span("campaign");
-    let metrics_before = perple_obs::metrics::snapshot();
-
-    let id = store.begin_run(&spec.name)?;
-    store.write_pending(&id, &meta.to_pending_json(&id, spec))?;
-    let mut journal = Journal::create(
-        store.io().clone(),
-        store.journal_path(&id),
-        policy.fsync,
-        &JournalHeader {
-            id: id.clone(),
-            name: spec.name.clone(),
-            items: items.len() as u64,
-        },
-    )?;
-
-    // Partition against the result cache, remembering each item's slot so
-    // the stored run keeps the expansion order regardless of hit pattern.
-    let mut records: Vec<Option<OutcomeRecord>> = vec![None; items.len()];
-    let mut misses: Vec<(usize, CampaignItem)> = Vec::new();
-    for (slot, item) in items.iter().enumerate() {
-        match cache.load_result(item.fingerprint) {
-            Some(hit) => {
-                on_item(slot, Some(&hit));
-                records[slot] = Some(hit);
-            }
-            None => misses.push((slot, item.clone())),
-        }
-    }
-    let hits = items.len() - misses.len();
-
-    let (lost, stage_wall) = execute_chunks(
-        cache,
-        &mut journal,
-        policy,
-        &misses,
-        &mut records,
-        &mut exec,
-        &mut on_item,
-    )?;
-    drop(journal);
-
-    finish(
-        store,
-        spec,
-        &id,
-        meta,
-        records,
-        Totals {
-            items: items.len(),
-            hits,
-            executed: misses.len(),
-            lost,
-            recovered: 0,
-        },
-        stage_wall,
-        t0,
-        &metrics_before,
-    )
-}
-
-/// Resumes an interrupted run: replay the journal (amputating a torn
-/// trailing frame), serve journaled items from the replay and unchanged
-/// items from the cache, execute only the remainder, finalize. The
+/// Resumes the interrupted run `id`: load its pending marker, replay the
+/// journal (amputating a torn trailing frame), check the header, reopen
+/// (or create) the journal, then partition, execute and finalize in the
+/// body a fresh run shares. Journaled items are served from the replay,
+/// unchanged items from the cache, and only the remainder executes; the
 /// resulting `items.json` is bit-identical to an uninterrupted run's.
+/// `on_item` observes as for [`run_campaign`].
 ///
 /// # Errors
 /// [`CampaignError::NotFound`] if the run has no pending marker (it
 /// completed, or never started); [`CampaignError::Storage`] for journal
-/// corruption beyond a torn tail; other [`CampaignError`]s as for
-/// [`run_campaign_with`].
+/// corruption beyond a torn tail; [`CampaignError::Corrupt`] when the
+/// journal header names another run or another item count; other
+/// [`CampaignError`]s as for [`run_campaign`].
 #[allow(clippy::too_many_arguments)]
 pub fn resume_campaign(
     store: &RunStore,
@@ -403,64 +320,95 @@ pub fn resume_campaign(
     meta: &RunMeta,
     policy: DurabilityPolicy,
     exec: impl FnMut(&[CampaignItem]) -> Vec<Option<ExecOutcome>>,
+    on_item: impl FnMut(usize, Option<&OutcomeRecord>),
 ) -> Result<RunSummary, CampaignError> {
-    resume_campaign_observed(store, cache, id, spec, items, meta, policy, exec, |_, _| {})
+    let open = || {
+        // Only a reserved-but-unfinalized run is resumable.
+        store.load_pending(id)?;
+        let journal_path = store.journal_path(id);
+        let replay = Journal::replay(&journal_path)?;
+        if replay.torn_tail {
+            store.io().truncate(&journal_path, replay.valid_len)?;
+        }
+        let journal = match &replay.header {
+            Some(header) if header.id != id => {
+                return Err(CampaignError::Corrupt(format!(
+                    "journal of run {id:?} claims to belong to {:?}",
+                    header.id
+                )));
+            }
+            Some(header) if header.items != items.len() as u64 => {
+                return Err(CampaignError::Corrupt(format!(
+                    "journal of run {id:?} covers {} items but the spec expands to {} \
+                     (spec changed between run and resume?)",
+                    header.items,
+                    items.len()
+                )));
+            }
+            Some(_) => Journal::open_append(store.io().clone(), &journal_path, policy.fsync)?,
+            // Empty or headerless-torn journal: nothing was durably
+            // started; begin it properly now.
+            None => create_journal(store, id, spec, items.len(), policy)?,
+        };
+        let journaled = replay
+            .records
+            .into_iter()
+            .map(|r| ((r.test.clone(), r.seed), r))
+            .collect();
+        Ok((id.to_owned(), journal, journaled))
+    };
+    drive(store, cache, spec, items, meta, policy, exec, on_item, open)
 }
 
-/// [`resume_campaign`] with the item observer of
-/// [`run_campaign_observed`]: journal-replayed and cache-served items are
-/// observed during the partition (in slot order), executed remainders as
-/// their chunks complete.
-///
-/// # Errors
-/// As for [`resume_campaign`].
+/// Creates run `id`'s journal and durably writes its header frame.
+fn create_journal(
+    store: &RunStore,
+    id: &str,
+    spec: &CampaignSpec,
+    items: usize,
+    policy: DurabilityPolicy,
+) -> Result<Journal, CampaignError> {
+    let header = JournalHeader {
+        id: id.to_owned(),
+        name: spec.name.clone(),
+        items: items as u64,
+    };
+    Journal::create(
+        store.io().clone(),
+        store.journal_path(id),
+        policy.fsync,
+        &header,
+    )
+}
+
+/// Records a run's items already hold, keyed by `(test, seed)`: the
+/// journal replay on a resume, nothing on a fresh run.
+type Journaled = HashMap<(String, u64), OutcomeRecord>;
+
+/// The body a fresh run and a resume share. `open` is the entry point's
+/// preamble (id, journal, journaled records); it runs inside the
+/// `campaign` span and metrics window, so the manifest counts its writes.
+/// Then the three-way partition — journal replay beats cache beats
+/// execution — the chunked execution of the misses, and finalization.
 #[allow(clippy::too_many_arguments)]
-pub fn resume_campaign_observed(
+fn drive(
     store: &RunStore,
     cache: &ArtifactCache,
-    id: &str,
     spec: &CampaignSpec,
     items: &[CampaignItem],
     meta: &RunMeta,
     policy: DurabilityPolicy,
     mut exec: impl FnMut(&[CampaignItem]) -> Vec<Option<ExecOutcome>>,
     mut on_item: impl FnMut(usize, Option<&OutcomeRecord>),
+    open: impl FnOnce() -> Result<(String, Journal, Journaled), CampaignError>,
 ) -> Result<RunSummary, CampaignError> {
     let t0 = Instant::now();
     let _span = perple_obs::trace::span("campaign");
     let metrics_before = perple_obs::metrics::snapshot();
+    let (id, mut journal, mut journaled) = open()?;
 
-    // Only a reserved-but-unfinalized run is resumable.
-    store.load_pending(id)?;
-
-    let journal_path = store.journal_path(id);
-    let replay = Journal::replay(&journal_path)?;
-    if replay.torn_tail {
-        store.io().truncate(&journal_path, replay.valid_len)?;
-    }
-    if let Some(header) = &replay.header {
-        if header.id != id {
-            return Err(CampaignError::Corrupt(format!(
-                "journal of run {id:?} claims to belong to {:?}",
-                header.id
-            )));
-        }
-        if header.items != items.len() as u64 {
-            return Err(CampaignError::Corrupt(format!(
-                "journal of run {id:?} covers {} items but the spec expands to {} \
-                 (spec changed between run and resume?)",
-                header.items,
-                items.len()
-            )));
-        }
-    }
-    let mut journaled: HashMap<(String, u64), OutcomeRecord> = replay
-        .records
-        .into_iter()
-        .map(|r| ((r.test.clone(), r.seed), r))
-        .collect();
-
-    // Three-way partition: journal replay beats cache beats execution.
+    // Each item keeps its slot, so the stored run keeps the expansion
+    // order whatever the hit pattern.
     let mut records: Vec<Option<OutcomeRecord>> = vec![None; items.len()];
     let mut misses: Vec<(usize, CampaignItem)> = Vec::new();
     let mut recovered = 0usize;
@@ -480,22 +428,6 @@ pub fn resume_campaign_observed(
     }
     metrics::add(Metric::StoreRecoveredItems, recovered as u64);
 
-    let mut journal = if replay.header.is_some() {
-        Journal::open_append(store.io().clone(), &journal_path, policy.fsync)?
-    } else {
-        // Empty or headerless-torn journal: nothing was durably started;
-        // begin it properly now.
-        Journal::create(
-            store.io().clone(),
-            &journal_path,
-            policy.fsync,
-            &JournalHeader {
-                id: id.to_owned(),
-                name: spec.name.clone(),
-                items: items.len() as u64,
-            },
-        )?
-    };
     let (lost, stage_wall) = execute_chunks(
         cache,
         &mut journal,
@@ -510,7 +442,7 @@ pub fn resume_campaign_observed(
     finish(
         store,
         spec,
-        id,
+        &id,
         meta,
         records,
         Totals {
@@ -712,6 +644,19 @@ mod tests {
         }
     }
 
+    /// A fresh run under the default policy, unobserved.
+    fn run(
+        store: &RunStore,
+        cache: &ArtifactCache,
+        spec: &CampaignSpec,
+        items: &[CampaignItem],
+        meta: &RunMeta,
+        exec: impl FnMut(&[CampaignItem]) -> Vec<Option<ExecOutcome>>,
+    ) -> Result<RunSummary, CampaignError> {
+        let policy = DurabilityPolicy::default();
+        run_campaign(store, cache, spec, items, meta, policy, exec, |_, _| {})
+    }
+
     fn meta() -> RunMeta {
         RunMeta {
             created_unix_ms: 1,
@@ -727,7 +672,7 @@ mod tests {
         let cache = ArtifactCache::open(&root).unwrap();
         let spec = CampaignSpec::named("lm");
         let items = vec![item("sb", 1)];
-        let bare = run_campaign(&store, &cache, &spec, &items, &meta(), |batch| {
+        let bare = run(&store, &cache, &spec, &items, &meta(), |batch| {
             batch.iter().map(|i| Some(outcome(i, 1, true))).collect()
         })
         .unwrap();
@@ -742,7 +687,7 @@ mod tests {
             warnings: 2,
             notes: 5,
         });
-        let linted = run_campaign(&store, &cache, &spec, &items, &with_lint, |batch| {
+        let linted = run(&store, &cache, &spec, &items, &with_lint, |batch| {
             batch.iter().map(|i| Some(outcome(i, 1, true))).collect()
         })
         .unwrap();
@@ -762,7 +707,7 @@ mod tests {
         let items = vec![item("sb", 1), item("mp", 1), item("sb", 2)];
         let calls = AtomicUsize::new(0);
 
-        let cold = run_campaign(&store, &cache, &spec, &items, &meta(), |batch| {
+        let cold = run(&store, &cache, &spec, &items, &meta(), |batch| {
             calls.fetch_add(batch.len(), Ordering::SeqCst);
             batch.iter().map(|i| Some(outcome(i, 5, true))).collect()
         })
@@ -770,7 +715,7 @@ mod tests {
         assert_eq!((cold.hits, cold.executed), (0, 3));
         assert_eq!(calls.load(Ordering::SeqCst), 3);
 
-        let warm = run_campaign(&store, &cache, &spec, &items, &meta(), |batch| {
+        let warm = run(&store, &cache, &spec, &items, &meta(), |batch| {
             calls.fetch_add(batch.len(), Ordering::SeqCst);
             batch.iter().map(|i| Some(outcome(i, 5, true))).collect()
         })
@@ -816,7 +761,7 @@ mod tests {
         let cache = ArtifactCache::open(&root).unwrap();
         let spec = CampaignSpec::named("m");
         let items = vec![item("sb", 1)];
-        let summary = run_campaign(&store, &cache, &spec, &items, &meta(), |batch| {
+        let summary = run(&store, &cache, &spec, &items, &meta(), |batch| {
             batch.iter().map(|i| Some(outcome(i, 5, true))).collect()
         })
         .unwrap();
@@ -847,7 +792,7 @@ mod tests {
         let cache = ArtifactCache::open(&root).unwrap();
         let spec = CampaignSpec::named("u");
         let items = vec![item("sb", 1)];
-        let first = run_campaign(&store, &cache, &spec, &items, &meta(), |batch| {
+        let first = run(&store, &cache, &spec, &items, &meta(), |batch| {
             batch.iter().map(|i| Some(outcome(i, 2, false))).collect()
         })
         .unwrap();
@@ -857,7 +802,7 @@ mod tests {
             1,
             "stored in the run"
         );
-        let second = run_campaign(&store, &cache, &spec, &items, &meta(), |batch| {
+        let second = run(&store, &cache, &spec, &items, &meta(), |batch| {
             batch.iter().map(|i| Some(outcome(i, 2, true))).collect()
         })
         .unwrap();
@@ -875,7 +820,7 @@ mod tests {
         let cache = ArtifactCache::open(&root).unwrap();
         let spec = CampaignSpec::named("l");
         let items = vec![item("sb", 1), item("mp", 1)];
-        let summary = run_campaign(&store, &cache, &spec, &items, &meta(), |batch| {
+        let summary = run(&store, &cache, &spec, &items, &meta(), |batch| {
             batch
                 .iter()
                 .map(|i| (i.test == "sb").then(|| outcome(i, 1, true)))
@@ -896,7 +841,7 @@ mod tests {
         let cache = ArtifactCache::open(&root).unwrap();
         let spec = CampaignSpec::named("s");
         let items = vec![item("sb", 1), item("mp", 1)];
-        let summary = run_campaign(&store, &cache, &spec, &items, &meta(), |batch| {
+        let summary = run(&store, &cache, &spec, &items, &meta(), |batch| {
             batch
                 .iter()
                 .map(|i| {
@@ -937,10 +882,20 @@ mod tests {
             chunk: 2,
             fsync: FsyncPolicy::Never,
         };
-        let summary = run_campaign_with(&store, &cache, &spec, &items, &meta(), policy, |batch| {
+        let exec = |batch: &[CampaignItem]| {
             batches.lock().unwrap().push(batch.len());
             batch.iter().map(|i| Some(outcome(i, 1, true))).collect()
-        })
+        };
+        let summary = run_campaign(
+            &store,
+            &cache,
+            &spec,
+            &items,
+            &meta(),
+            policy,
+            exec,
+            |_, _| {},
+        )
         .unwrap();
         assert_eq!(summary.executed, 5);
         assert_eq!(*batches.lock().unwrap(), vec![2, 2, 1], "chunked 2+2+1");
@@ -964,7 +919,7 @@ mod tests {
             chunk: 2,
             fsync: FsyncPolicy::Batch,
         };
-        run_campaign_with(
+        run_campaign(
             &ref_store,
             &ref_cache,
             &spec,
@@ -972,6 +927,7 @@ mod tests {
             &meta(),
             policy,
             |b| b.iter().map(|i| Some(outcome(i, i.seed, true))).collect(),
+            |_, _| {},
         )
         .unwrap();
         let reference = fs::read(ref_store.run_dir("r-0001").join("items.json")).unwrap();
@@ -996,9 +952,18 @@ mod tests {
         {
             let store = RunStore::open_with(&crash_root, probe_io.clone()).unwrap();
             let cache = ArtifactCache::open_with(&crash_root, probe_io.clone()).unwrap();
-            run_campaign_with(&store, &cache, &spec, &items, &meta(), policy, |b| {
-                b.iter().map(|i| Some(outcome(i, i.seed, true))).collect()
-            })
+            let exec =
+                |b: &[CampaignItem]| b.iter().map(|i| Some(outcome(i, i.seed, true))).collect();
+            run_campaign(
+                &store,
+                &cache,
+                &spec,
+                &items,
+                &meta(),
+                policy,
+                exec,
+                |_, _| {},
+            )
             .unwrap();
         }
         let total = probe_io.boundaries();
@@ -1008,8 +973,17 @@ mod tests {
         let io = StoreIo::new(CrashPlan::abort_at(total / 2));
         let store = RunStore::open_with(&crash_root, io.clone()).unwrap();
         let cache = ArtifactCache::open_with(&crash_root, io.clone()).unwrap();
-        let err = run_campaign_with(&store, &cache, &spec, &items, &meta(), policy, count_exec)
-            .unwrap_err();
+        let err = run_campaign(
+            &store,
+            &cache,
+            &spec,
+            &items,
+            &meta(),
+            policy,
+            count_exec,
+            |_, _| {},
+        )
+        .unwrap_err();
         assert!(err.is_crash(), "{err}");
 
         // New process: fresh handles, no plan.
@@ -1030,6 +1004,7 @@ mod tests {
             &meta(),
             policy,
             count_exec,
+            |_, _| {},
         )
         .unwrap();
         assert_eq!(summary.id, "r-0001");
@@ -1084,7 +1059,7 @@ mod tests {
                 .unwrap();
         }
         let mut seen: Vec<(usize, Option<OutcomeRecord>)> = Vec::new();
-        let summary = run_campaign_observed(
+        let summary = run_campaign(
             &store,
             &cache,
             &spec,
@@ -1132,7 +1107,7 @@ mod tests {
         let cache = ArtifactCache::open(&root).unwrap();
         let spec = CampaignSpec::named("n");
         let items = vec![item("sb", 1)];
-        let done = run_campaign(&store, &cache, &spec, &items, &meta(), |b| {
+        let done = run(&store, &cache, &spec, &items, &meta(), |b| {
             b.iter().map(|i| Some(outcome(i, 1, true))).collect()
         })
         .unwrap();
@@ -1146,6 +1121,7 @@ mod tests {
                 &meta(),
                 DurabilityPolicy::default(),
                 |b: &[CampaignItem]| b.iter().map(|i| Some(outcome(i, 1, true))).collect(),
+                |_, _| {},
             )
             .unwrap_err();
             assert!(matches!(err, CampaignError::NotFound(_)), "{id}: {err}");
@@ -1161,7 +1137,7 @@ mod tests {
         let cache = ArtifactCache::open_with(&root, io).unwrap();
         let spec = CampaignSpec::named("sc");
         let items = vec![item("sb", 1), item("sb", 2)];
-        let _ = run_campaign(&store, &cache, &spec, &items, &meta(), |b| {
+        let _ = run(&store, &cache, &spec, &items, &meta(), |b| {
             b.iter()
                 .map(|i| Some(outcome(i, 1, true)))
                 .collect::<Vec<_>>()
@@ -1183,6 +1159,7 @@ mod tests {
             &meta(),
             DurabilityPolicy::default(),
             |b: &[CampaignItem]| b.iter().map(|i| Some(outcome(i, 1, true))).collect(),
+            |_, _| {},
         )
         .unwrap_err();
         assert!(err.to_string().contains("spec changed"), "{err}");

@@ -536,6 +536,14 @@ mod tests {
         ])
     }
 
+    /// Reserves the next `f` run, which must be `id`, and finalizes it.
+    fn commit(store: &RunStore, id: &str, created: u64, items: &[OutcomeRecord]) {
+        assert_eq!(store.begin_run("f").unwrap(), id);
+        store
+            .finalize_run(id, &manifest(id, created), items)
+            .unwrap();
+    }
+
     fn record(seed: u64) -> OutcomeRecord {
         OutcomeRecord {
             test: "sb".to_owned(),
@@ -559,9 +567,7 @@ mod tests {
     fn a_clean_store_has_no_findings() {
         let root = tmp_root("clean");
         let (store, cache) = open(&root);
-        store
-            .write_run("f-0001", &manifest("f-0001", 1), &[record(1)])
-            .unwrap();
+        commit(&store, "f-0001", 1, &[record(1)]);
         let report = fsck(&store, &cache, false).unwrap();
         assert!(report.is_clean(), "{:?}", report.findings);
         assert!(report.is_healthy());
@@ -588,12 +594,8 @@ mod tests {
     fn torn_index_line_is_found_and_rebuilt() {
         let root = tmp_root("tornindex");
         let (store, cache) = open(&root);
-        store
-            .write_run("f-0001", &manifest("f-0001", 1), &[])
-            .unwrap();
-        store
-            .write_run("f-0002", &manifest("f-0002", 2), &[])
-            .unwrap();
+        commit(&store, "f-0001", 1, &[]);
+        commit(&store, "f-0002", 2, &[]);
         let path = store.index_path();
         let mut bytes = fs::read(&path).unwrap();
         bytes.extend_from_slice(b"{\"id\":\"f-00");
@@ -625,12 +627,8 @@ mod tests {
     fn missing_index_lines_are_rebuilt_from_manifests() {
         let root = tmp_root("staleindex");
         let (store, cache) = open(&root);
-        store
-            .write_run("f-0001", &manifest("f-0001", 1), &[])
-            .unwrap();
-        store
-            .write_run("f-0002", &manifest("f-0002", 2), &[])
-            .unwrap();
+        commit(&store, "f-0001", 1, &[]);
+        commit(&store, "f-0002", 2, &[]);
         // Lose the index entirely — every run is now stale-indexed.
         fs::remove_file(store.index_path()).unwrap();
         let report = fsck(&store, &cache, true).unwrap();
@@ -650,9 +648,7 @@ mod tests {
     fn index_entries_without_runs_are_stale() {
         let root = tmp_root("ghost");
         let (store, cache) = open(&root);
-        store
-            .write_run("f-0001", &manifest("f-0001", 1), &[])
-            .unwrap();
+        commit(&store, "f-0001", 1, &[]);
         fs::remove_dir_all(store.run_dir("f-0001")).unwrap();
         let report = fsck(&store, &cache, true).unwrap();
         assert!(report
@@ -757,9 +753,7 @@ mod tests {
     fn stray_temps_and_corrupt_cache_entries_are_cleaned() {
         let root = tmp_root("cache");
         let (store, cache) = open(&root);
-        store
-            .write_run("f-0001", &manifest("f-0001", 1), &[])
-            .unwrap();
+        commit(&store, "f-0001", 1, &[]);
         // Stray run temp.
         fs::write(store.run_dir("f-0001").join("manifest.tmp"), "{half").unwrap();
         // Corrupt cache entry + stray cache temp.

@@ -48,9 +48,8 @@ pub use compare::{
     RegressionKind,
 };
 pub use engine::{
-    resume_campaign, resume_campaign_observed, run_campaign, run_campaign_observed,
-    run_campaign_with, CampaignItem, DurabilityPolicy, ExecOutcome, LintSummary, RunMeta,
-    RunSummary, StageWallMs,
+    resume_campaign, run_campaign, CampaignItem, DurabilityPolicy, ExecOutcome, LintSummary,
+    RunMeta, RunSummary, StageWallMs,
 };
 pub use fingerprint::{Fingerprint, Hasher, CACHE_FORMAT_VERSION};
 pub use fsck::{fsck, Finding, FsckReport};

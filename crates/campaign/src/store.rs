@@ -339,45 +339,14 @@ impl RunStore {
         ids
     }
 
-    /// Writes one complete run: `manifest.json`, `items.json`, and the
-    /// index line — append-only, atomically per file.
-    ///
-    /// # Errors
-    /// [`CampaignError::Io`] on filesystem trouble; refuses to overwrite
-    /// an existing run id (the store is append-only).
-    pub fn write_run(
-        &self,
-        id: &str,
-        manifest: &Json,
-        items: &[OutcomeRecord],
-    ) -> Result<(), CampaignError> {
-        let dir = self.run_dir(id);
-        if dir.exists() {
-            return Err(CampaignError::Io(format!(
-                "{}: run already exists (the store is append-only)",
-                dir.display()
-            )));
-        }
-        self.io.create_dir_all(&dir)?;
-        self.persist_run(id, manifest, items)
-    }
-
     /// Finalizes a run whose directory was reserved by [`RunStore::begin_run`]:
-    /// writes the files, clears the pending marker, appends the index
-    /// line. After this the run is complete and immutable.
+    /// writes `items.json` and `manifest.json` (atomically per file),
+    /// clears the pending marker, appends the index line. After this the
+    /// run is complete and immutable.
     ///
     /// # Errors
     /// [`CampaignError::Storage`] on IO failure or injected crash.
     pub fn finalize_run(
-        &self,
-        id: &str,
-        manifest: &Json,
-        items: &[OutcomeRecord],
-    ) -> Result<(), CampaignError> {
-        self.persist_run(id, manifest, items)
-    }
-
-    fn persist_run(
         &self,
         id: &str,
         manifest: &Json,
@@ -617,6 +586,14 @@ mod tests {
         ])
     }
 
+    /// Reserves the next run of `id`'s name, which must be `id`, and
+    /// finalizes it with `items`.
+    fn commit(store: &RunStore, id: &str, items: &[OutcomeRecord]) {
+        let (name, _) = id.rsplit_once('-').unwrap();
+        assert_eq!(store.begin_run(name).unwrap(), id);
+        store.finalize_run(id, &manifest(id), items).unwrap();
+    }
+
     #[test]
     fn model_key_round_trips_and_stays_out_of_default_records() {
         let default = record("sb", 1, 9);
@@ -641,9 +618,7 @@ mod tests {
     fn write_then_load_round_trips() {
         let (dir, store) = tmp_store("roundtrip");
         let items = vec![record("sb", 1, 9), record("mp", 2, 0)];
-        store
-            .write_run("t-0001", &manifest("t-0001"), &items)
-            .unwrap();
+        commit(&store, "t-0001", &items);
         assert_eq!(store.load_items("t-0001").unwrap(), items);
         let m = store.load_manifest("t-0001").unwrap();
         assert_eq!(m.get("id").and_then(Json::as_str), Some("t-0001"));
@@ -657,12 +632,8 @@ mod tests {
     fn item_files_are_byte_identical_for_equal_outcomes() {
         let (dir, store) = tmp_store("stable");
         let items = vec![record("sb", 1, 9)];
-        store
-            .write_run("a-0001", &manifest("a-0001"), &items)
-            .unwrap();
-        store
-            .write_run("a-0002", &manifest("a-0002"), &items)
-            .unwrap();
+        commit(&store, "a-0001", &items);
+        commit(&store, "a-0002", &items);
         let a = fs::read(store.run_dir("a-0001").join("items.json")).unwrap();
         let b = fs::read(store.run_dir("a-0002").join("items.json")).unwrap();
         assert_eq!(
@@ -673,24 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn store_is_append_only() {
-        let (dir, store) = tmp_store("appendonly");
-        store.write_run("x-0001", &manifest("x-0001"), &[]).unwrap();
-        let err = store
-            .write_run("x-0001", &manifest("x-0001"), &[])
-            .unwrap_err();
-        assert!(matches!(err, CampaignError::Io(_)), "{err}");
-        assert!(err.to_string().contains("append-only"));
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn run_ids_increment_per_name() {
         let (dir, store) = tmp_store("ids");
         assert_eq!(store.next_run_id("smoke"), "smoke-0001");
-        store
-            .write_run("smoke-0001", &manifest("smoke-0001"), &[])
-            .unwrap();
+        commit(&store, "smoke-0001", &[]);
         assert_eq!(store.next_run_id("smoke"), "smoke-0002");
         assert_eq!(store.next_run_id("other"), "other-0001");
         let _ = fs::remove_dir_all(dir);
@@ -699,12 +656,8 @@ mod tests {
     #[test]
     fn resolve_handles_exact_prefix_latest_and_misses() {
         let (dir, store) = tmp_store("resolve");
-        store
-            .write_run("aa-0001", &manifest("aa-0001"), &[])
-            .unwrap();
-        store
-            .write_run("ab-0001", &manifest("ab-0001"), &[])
-            .unwrap();
+        commit(&store, "aa-0001", &[]);
+        commit(&store, "ab-0001", &[]);
         assert_eq!(store.resolve("aa-0001").unwrap(), "aa-0001");
         assert_eq!(store.resolve("ab").unwrap(), "ab-0001");
         assert_eq!(store.resolve("latest").unwrap(), "ab-0001");
@@ -802,7 +755,7 @@ mod tests {
     #[test]
     fn torn_index_line_is_tolerated_and_repaired_by_the_next_append() {
         let (dir, store) = tmp_store("tornidx");
-        store.write_run("t-0001", &manifest("t-0001"), &[]).unwrap();
+        commit(&store, "t-0001", &[]);
         // Tear the index: a half-written second line with no newline.
         let path = store.index_path();
         let mut bytes = fs::read(&path).unwrap();
@@ -814,7 +767,7 @@ mod tests {
         assert_eq!(listed[0].get("id").and_then(Json::as_str), Some("t-0001"));
         assert_eq!(store.resolve("latest").unwrap(), "t-0001");
         // A clean append amputates the torn tail and restores framing.
-        store.write_run("t-0002", &manifest("t-0002"), &[]).unwrap();
+        commit(&store, "t-0002", &[]);
         let text = fs::read_to_string(&path).unwrap();
         assert!(
             !text.contains("t-00\""),
@@ -833,8 +786,8 @@ mod tests {
     #[test]
     fn mid_file_index_corruption_is_still_an_error() {
         let (dir, store) = tmp_store("mididx");
-        store.write_run("m-0001", &manifest("m-0001"), &[]).unwrap();
-        store.write_run("m-0002", &manifest("m-0002"), &[]).unwrap();
+        commit(&store, "m-0001", &[]);
+        commit(&store, "m-0002", &[]);
         let path = store.index_path();
         let text = fs::read_to_string(&path).unwrap();
         let corrupted = text.replacen("{\"id\":\"m-0001\"", "{garbage", 1);
@@ -850,8 +803,8 @@ mod tests {
             matches!(store.resolve("latest"), Err(CampaignError::NotFound(_))),
             "empty store has no latest"
         );
-        store.write_run("q-0001", &manifest("q-0001"), &[]).unwrap();
-        store.write_run("q-0002", &manifest("q-0002"), &[]).unwrap();
+        commit(&store, "q-0001", &[]);
+        commit(&store, "q-0002", &[]);
         let ambiguous = store.resolve("q-").unwrap_err();
         assert!(ambiguous.to_string().contains("ambiguous"), "{ambiguous}");
         assert!(ambiguous.to_string().contains("2 matches"), "{ambiguous}");

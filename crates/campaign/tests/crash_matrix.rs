@@ -11,6 +11,11 @@
 //! any durable state — a fresh run executes from scratch. In every case
 //! the final `items.json` must be **byte-identical** to the reference, and
 //! no journaled item may ever execute twice.
+//!
+//! A second leg crashes the **resume**: from a first crash that left a
+//! journaled item behind, it aborts an otherwise unplanned resume at each
+//! of its boundaries j, repairs, and resumes again, under the same two
+//! requirements.
 
 use std::collections::HashMap;
 use std::fs;
@@ -18,9 +23,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use perple_campaign::{
-    fsck, resume_campaign, run_campaign_with, ArtifactCache, CampaignItem, CampaignSpec, CrashPlan,
-    DurabilityPolicy, ExecOutcome, FsyncPolicy, Hasher, Journal, LintSummary, OutcomeRecord,
-    RunMeta, RunStore, StageWallMs, StoreIo,
+    fsck, resume_campaign, run_campaign, ArtifactCache, CampaignError, CampaignItem, CampaignSpec,
+    CrashPlan, DurabilityPolicy, ExecOutcome, FsyncPolicy, Hasher, Journal, LintSummary,
+    OutcomeRecord, RunMeta, RunStore, RunSummary, StageWallMs, StoreIo,
 };
 
 fn tmp_root(tag: &str) -> PathBuf {
@@ -132,7 +137,7 @@ fn every_crash_boundary_recovers_bit_identically_with_zero_reexecution() {
         let store = RunStore::open_with(&ref_root, ref_io.clone()).unwrap();
         let cache = ArtifactCache::open_with(&ref_root, ref_io.clone()).unwrap();
         let counts = Mutex::new(HashMap::new());
-        let summary = run_campaign_with(
+        let summary = run_campaign(
             &store,
             &cache,
             &spec(),
@@ -140,15 +145,16 @@ fn every_crash_boundary_recovers_bit_identically_with_zero_reexecution() {
             &meta(),
             policy(),
             exec_counting(&counts),
+            |_, _| {},
         )
         .unwrap();
         assert_eq!(summary.executed, 6);
         assert_eq!(summary.recovered, 0);
     }
     let total = ref_io.boundaries();
-    assert!(
-        total > 10,
-        "a real campaign crosses many boundaries: {total}"
+    assert_eq!(
+        total, 38,
+        "the reference campaign's write boundaries (EXPERIMENTS, Crash safety)"
     );
     let reference = sole_run_items(&ref_root);
 
@@ -162,7 +168,7 @@ fn every_crash_boundary_recovers_bit_identically_with_zero_reexecution() {
         {
             let store = RunStore::open_with(&root, io.clone()).unwrap();
             let cache = ArtifactCache::open_with(&root, io.clone()).unwrap();
-            let result = run_campaign_with(
+            let result = run_campaign(
                 &store,
                 &cache,
                 &spec(),
@@ -170,6 +176,7 @@ fn every_crash_boundary_recovers_bit_identically_with_zero_reexecution() {
                 &meta(),
                 policy(),
                 exec_counting(&counts),
+                |_, _| {},
             );
             match result {
                 Err(e) => assert!(e.is_crash(), "k={k}: {e}"),
@@ -213,6 +220,7 @@ fn every_crash_boundary_recovers_bit_identically_with_zero_reexecution() {
                     &meta(),
                     policy(),
                     exec_counting(&counts),
+                    |_, _| {},
                 )
                 .unwrap();
                 assert_eq!(summary.recovered, journaled.len(), "k={k}");
@@ -223,7 +231,7 @@ fn every_crash_boundary_recovers_bit_identically_with_zero_reexecution() {
             }
             [] => {
                 // The crash landed before any resumable state: run fresh.
-                run_campaign_with(
+                run_campaign(
                     &store,
                     &cache,
                     &spec(),
@@ -231,6 +239,7 @@ fn every_crash_boundary_recovers_bit_identically_with_zero_reexecution() {
                     &meta(),
                     policy(),
                     exec_counting(&counts),
+                    |_, _| {},
                 )
                 .unwrap();
             }
@@ -273,7 +282,7 @@ fn transient_failures_at_every_boundary_are_absorbed() {
         let store = RunStore::open_with(&ref_root, ref_io.clone()).unwrap();
         let cache = ArtifactCache::open_with(&ref_root, ref_io.clone()).unwrap();
         let counts = Mutex::new(HashMap::new());
-        run_campaign_with(
+        run_campaign(
             &store,
             &cache,
             &spec(),
@@ -281,6 +290,7 @@ fn transient_failures_at_every_boundary_are_absorbed() {
             &meta(),
             policy(),
             exec_counting(&counts),
+            |_, _| {},
         )
         .unwrap();
     }
@@ -295,7 +305,7 @@ fn transient_failures_at_every_boundary_are_absorbed() {
         let store = RunStore::open_with(&root, io.clone()).unwrap();
         let cache = ArtifactCache::open_with(&root, io.clone()).unwrap();
         let counts = Mutex::new(HashMap::new());
-        let summary = run_campaign_with(
+        let summary = run_campaign(
             &store,
             &cache,
             &spec(),
@@ -303,6 +313,7 @@ fn transient_failures_at_every_boundary_are_absorbed() {
             &meta(),
             policy(),
             exec_counting(&counts),
+            |_, _| {},
         )
         .unwrap();
         assert_eq!(summary.executed, 6, "k={k}");
@@ -324,7 +335,7 @@ fn empty_crash_plan_is_byte_identical_to_an_unshimmed_store() {
         let store = RunStore::open_with(root, io.clone()).unwrap();
         let cache = ArtifactCache::open_with(root, io.clone()).unwrap();
         let counts = Mutex::new(HashMap::new());
-        run_campaign_with(
+        run_campaign(
             &store,
             &cache,
             &spec(),
@@ -332,6 +343,7 @@ fn empty_crash_plan_is_byte_identical_to_an_unshimmed_store() {
             &meta(),
             policy(),
             exec_counting(&counts),
+            |_, _| {},
         )
         .unwrap();
     }
@@ -345,5 +357,162 @@ fn empty_crash_plan_is_byte_identical_to_an_unshimmed_store() {
     let plain = RunStore::open(&plain_root).unwrap();
     let shimmed = RunStore::open(&shimmed_root).unwrap();
     assert_eq!(plain.list().unwrap().len(), shimmed.list().unwrap().len());
+    let _ = fs::remove_dir_all(base);
+}
+
+type ExecCounts = Mutex<HashMap<(String, u64), usize>>;
+
+/// Runs the campaign fresh against `root`, every write crossing `io`.
+fn run_fresh(root: &Path, io: &StoreIo, counts: &ExecCounts) -> Result<RunSummary, CampaignError> {
+    let store = RunStore::open_with(root, io.clone()).unwrap();
+    let cache = ArtifactCache::open_with(root, io.clone()).unwrap();
+    let exec = exec_counting(counts);
+    run_campaign(
+        &store,
+        &cache,
+        &spec(),
+        &items(),
+        &meta(),
+        policy(),
+        exec,
+        |_, _| {},
+    )
+}
+
+/// Resumes the sole pending run under `root`, every write crossing `io`.
+fn resume_pending(
+    root: &Path,
+    io: &StoreIo,
+    counts: &ExecCounts,
+) -> Result<RunSummary, CampaignError> {
+    let store = RunStore::open_with(root, io.clone()).unwrap();
+    let cache = ArtifactCache::open_with(root, io.clone()).unwrap();
+    let pending = store.pending_runs();
+    let [id] = pending.as_slice() else {
+        panic!("one pending run expected, found {pending:?}");
+    };
+    let exec = exec_counting(counts);
+    let (spec, items) = (spec(), items());
+    resume_campaign(
+        &store,
+        &cache,
+        id,
+        &spec,
+        &items,
+        &meta(),
+        policy(),
+        exec,
+        |_, _| {},
+    )
+}
+
+/// `fsck --repair` from a new process; the store must come out healthy.
+fn repair(root: &Path) -> RunStore {
+    let store = RunStore::open(root).unwrap();
+    let cache = ArtifactCache::open(root).unwrap();
+    let report = fsck(&store, &cache, true).unwrap();
+    assert!(
+        report.is_healthy(),
+        "fsck must repair everything: {:?}",
+        report.findings
+    );
+    store
+}
+
+/// The `(test, seed)` keys journaled for the sole pending run, if any.
+fn journaled_keys(store: &RunStore) -> Vec<(String, u64)> {
+    match store.pending_runs().as_slice() {
+        [id] => Journal::replay(&store.journal_path(id))
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| (r.test.clone(), r.seed))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// A fresh store under `root` whose first run died at boundary `k` and
+/// was then repaired.
+fn crashed_at(root: &Path, k: u64, counts: &ExecCounts) -> RunStore {
+    let _ = fs::remove_dir_all(root);
+    let err = run_fresh(root, &StoreIo::new(CrashPlan::abort_at(k)), counts)
+        .expect_err("the first run must die");
+    assert!(err.is_crash(), "k={k}: {err}");
+    repair(root)
+}
+
+#[test]
+fn every_crash_boundary_of_a_resume_recovers_bit_identically_with_zero_reexecution() {
+    let base = tmp_root("resume-matrix");
+    let ref_root = base.join("ref");
+    run_fresh(&ref_root, &StoreIo::unplanned(), &Mutex::default()).unwrap();
+    let reference = sole_run_items(&ref_root);
+
+    // The start state: the earliest first-run crash that leaves a
+    // journaled item behind, so every resume below has a replay to serve
+    // and a remainder to execute.
+    let first = base.join("first");
+    let k0 = (0..38)
+        .find(|&k| !journaled_keys(&crashed_at(&first, k, &Mutex::default())).is_empty())
+        .expect("some first-run crash leaves a journaled item");
+
+    // Boundaries an unplanned resume of that state crosses.
+    let probe = base.join("probe");
+    crashed_at(&probe, k0, &Mutex::default());
+    let probe_io = StoreIo::unplanned();
+    resume_pending(&probe, &probe_io, &Mutex::default()).unwrap();
+    let total = probe_io.boundaries();
+    assert_eq!(sole_run_items(&probe), reference);
+
+    for j in 0..total {
+        let root = base.join(format!("j{j}"));
+        let (first_run, crashed_resume, last_resume) = Default::default();
+        let before = journaled_keys(&crashed_at(&root, k0, &first_run));
+        let err = resume_pending(
+            &root,
+            &StoreIo::new(CrashPlan::abort_at(j)),
+            &crashed_resume,
+        )
+        .expect_err("every boundary of the resume is an abort point");
+        assert!(err.is_crash(), "j={j}: {err}");
+
+        let store = repair(&root);
+        let journaled = journaled_keys(&store);
+        match store.pending_runs().as_slice() {
+            [_] => {
+                let summary = resume_pending(&root, &StoreIo::unplanned(), &last_resume).unwrap();
+                assert_eq!(summary.recovered, journaled.len(), "j={j}");
+            }
+            // The crash hit finalize after the manifest landed: fsck
+            // already completed the run.
+            [] => assert!(!store.list().unwrap().is_empty(), "j={j}: run lost"),
+            many => panic!("j={j}: more than one pending run: {many:?}"),
+        }
+
+        assert_eq!(
+            sole_run_items(&root),
+            reference,
+            "j={j}: items.json differs from the uninterrupted run"
+        );
+        // Zero re-execution: no resume executes an item journaled before
+        // it started, and no process executes an item twice.
+        let ran = |counts: &ExecCounts, key| counts.lock().unwrap().get(key).copied();
+        for key in &before {
+            assert_eq!(
+                ran(&crashed_resume, key),
+                None,
+                "j={j}: {key:?} re-executed"
+            );
+        }
+        for key in &journaled {
+            assert_eq!(ran(&last_resume, key), None, "j={j}: {key:?} re-executed");
+        }
+        for counts in [first_run, crashed_resume, last_resume] {
+            for (key, n) in counts.into_inner().unwrap() {
+                assert_eq!(n, 1, "j={j}: {key:?} executed {n} times in one process");
+            }
+        }
+    }
     let _ = fs::remove_dir_all(base);
 }

@@ -94,12 +94,6 @@ impl From<ConvertError> for PerpleError {
     }
 }
 
-impl From<perple_sim::ConfigError> for PerpleError {
-    fn from(e: perple_sim::ConfigError) -> Self {
-        PerpleError::Config(e.to_string())
-    }
-}
-
 impl From<CampaignError> for PerpleError {
     fn from(e: CampaignError) -> Self {
         match e {
@@ -171,18 +165,6 @@ mod tests {
         }
         .into();
         assert_eq!(e.kind(), "convert");
-        assert!(!e.retryable());
-    }
-
-    #[test]
-    fn sim_config_errors_wrap_as_config() {
-        let sim_err = perple_sim::ConfigError {
-            field: "drain_prob",
-            message: "must be in (0, 1]".into(),
-        };
-        let e: PerpleError = sim_err.into();
-        assert_eq!(e.kind(), "config");
-        assert!(e.to_string().contains("drain_prob"));
         assert!(!e.retryable());
     }
 

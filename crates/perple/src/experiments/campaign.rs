@@ -36,9 +36,9 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use perple_analysis::jsonout::Json;
 use perple_campaign::{
-    git_describe, resume_campaign_observed, run_campaign_observed, ArtifactCache, CampaignItem,
-    CampaignSpec, ExecOutcome, Fingerprint, Hasher, LintSummary, OutcomeRecord, RunMeta, RunStore,
-    RunSummary, StageWallMs, StoreIo,
+    git_describe, resume_campaign, run_campaign, ArtifactCache, CampaignItem, CampaignSpec,
+    ExecOutcome, Fingerprint, Hasher, LintSummary, OutcomeRecord, RunMeta, RunStore, RunSummary,
+    StageWallMs, StoreIo,
 };
 use perple_convert::artifact::ArtifactBundle;
 use perple_lint::{lint_test, LintConfig, LintReport, RuleId, Severity};
@@ -267,32 +267,26 @@ pub fn run_spec(
     store_root: &Path,
     allow_lints: bool,
 ) -> Result<RunSummary, String> {
-    run_spec_with_io(spec, store_root, allow_lints, StoreIo::unplanned())
+    run_spec_observed(
+        spec,
+        store_root,
+        allow_lints,
+        StoreIo::unplanned(),
+        |_, _| {},
+    )
 }
 
 /// [`run_spec`] with every store/cache/journal write routed through the
-/// given IO shim — how `--crash PLAN` and the kill-and-resume CI step
-/// exercise the durability layer against the real pipeline.
+/// given IO shim (how `--crash PLAN` and the kill-and-resume CI step
+/// exercise the durability layer against the real pipeline) and with the
+/// engine's item observer: `on_item(slot, record)` fires exactly once per
+/// expanded item as soon as its outcome is final (hits in slot order
+/// during the partition, executed items as their journal frames land,
+/// `None` for lost items) — the hook `perple serve` streams records
+/// through.
 ///
 /// # Errors
 /// As for [`run_spec`], plus injected crashes from the shim's plan.
-pub fn run_spec_with_io(
-    spec: &CampaignSpec,
-    store_root: &Path,
-    allow_lints: bool,
-    io: StoreIo,
-) -> Result<RunSummary, String> {
-    run_spec_observed(spec, store_root, allow_lints, io, |_, _| {})
-}
-
-/// [`run_spec_with_io`] with the engine's item observer: `on_item(slot,
-/// record)` fires exactly once per expanded item as soon as its outcome
-/// is final (hits in slot order during the partition, executed items as
-/// their journal frames land, `None` for lost items) — the hook
-/// `perple serve` streams records through.
-///
-/// # Errors
-/// As for [`run_spec_with_io`].
 pub fn run_spec_observed(
     spec: &CampaignSpec,
     store_root: &Path,
@@ -300,11 +294,7 @@ pub fn run_spec_observed(
     io: StoreIo,
     on_item: impl FnMut(usize, Option<&OutcomeRecord>),
 ) -> Result<RunSummary, String> {
-    let (cfg, expanded) = expand_items(spec).map_err(|e| e.to_string())?;
-    let tests_by_name: HashMap<String, LitmusTest> = expanded
-        .iter()
-        .map(|(t, _)| (t.name().to_owned(), t.clone()))
-        .collect();
+    let (cfg, tests_by_name, items) = expand_run(spec)?;
 
     let mut distinct: Vec<LitmusTest> = tests_by_name.values().cloned().collect();
     distinct.sort_by(|a, b| a.name().cmp(b.name()));
@@ -345,8 +335,6 @@ pub fn run_spec_observed(
 
     let store = RunStore::open_with(store_root, io.clone()).map_err(|e| e.to_string())?;
     let cache = ArtifactCache::open_with(store_root, io).map_err(|e| e.to_string())?;
-    let items: Vec<CampaignItem> = expanded.into_iter().map(|(_, i)| i).collect();
-
     let meta = RunMeta {
         created_unix_ms: SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -355,8 +343,7 @@ pub fn run_spec_observed(
         git: git_describe(),
         lint: Some(lint_summary),
     };
-
-    run_campaign_observed(
+    run_campaign(
         &store,
         &cache,
         spec,
@@ -369,33 +356,26 @@ pub fn run_spec_observed(
     .map_err(|e| e.to_string())
 }
 
-/// Resumes the interrupted run `id`: rebuilds the spec, items, and
-/// metadata from the run's own `pending.json` marker (no original
-/// invocation needed), replays the journal, and executes only the
-/// remainder. The finished `items.json` is bit-identical to what an
-/// uninterrupted run would have produced.
+/// Resumes the interrupted run `id`, with every store/cache/journal write
+/// routed through `io` and items observed as for [`run_spec_observed`]:
+/// rebuilds the spec, items, and metadata from the run's own
+/// `pending.json` marker (no original invocation needed), replays the
+/// journal, and executes only the remainder. The finished `items.json` is
+/// bit-identical to what an uninterrupted run would have produced.
+/// Returns the run's frozen spec with its summary.
 ///
 /// # Errors
 /// Not-resumable / corrupt-marker errors from the store, spec re-parse
-/// errors, or anything [`run_spec`] can fail with (as strings, ready for
-/// the CLI).
-pub fn resume_spec(store_root: &Path, id: &str) -> Result<RunSummary, String> {
-    resume_spec_observed(store_root, id, |_, _| {})
-}
-
-/// [`resume_spec`] with the item observer of [`run_spec_observed`]
-/// (journal-replayed and cache-served items are observed during the
-/// partition, executed ones as they complete).
-///
-/// # Errors
-/// As for [`resume_spec`].
-pub fn resume_spec_observed(
+/// errors, or anything [`run_spec_observed`] can fail with (as strings,
+/// ready for the CLI).
+pub fn resume_spec(
     store_root: &Path,
     id: &str,
+    io: StoreIo,
     on_item: impl FnMut(usize, Option<&OutcomeRecord>),
-) -> Result<RunSummary, String> {
-    let store = RunStore::open(store_root).map_err(|e| e.to_string())?;
-    let cache = ArtifactCache::open(store_root).map_err(|e| e.to_string())?;
+) -> Result<(CampaignSpec, RunSummary), String> {
+    let store = RunStore::open_with(store_root, io.clone()).map_err(|e| e.to_string())?;
+    let cache = ArtifactCache::open_with(store_root, io).map_err(|e| e.to_string())?;
     let pending = store.load_pending(id).map_err(|e| e.to_string())?;
     let spec_text = pending
         .get("spec")
@@ -403,15 +383,8 @@ pub fn resume_spec_observed(
         .ok_or_else(|| format!("run {id:?}: pending marker has no spec"))?;
     let spec = CampaignSpec::parse(spec_text).map_err(|e| e.to_string())?;
     let meta = RunMeta::from_pending_json(&pending).map_err(|e| e.to_string())?;
-
-    let (cfg, expanded) = expand_items(&spec).map_err(|e| e.to_string())?;
-    let tests_by_name: HashMap<String, LitmusTest> = expanded
-        .iter()
-        .map(|(t, _)| (t.name().to_owned(), t.clone()))
-        .collect();
-    let items: Vec<CampaignItem> = expanded.into_iter().map(|(_, i)| i).collect();
-
-    resume_campaign_observed(
+    let (cfg, tests_by_name, items) = expand_run(&spec)?;
+    let summary = resume_campaign(
         &store,
         &cache,
         id,
@@ -422,7 +395,30 @@ pub fn resume_spec_observed(
         run_executor(&tests_by_name, &cfg, &cache),
         on_item,
     )
-    .map_err(|e| e.to_string())
+    .map_err(|e| e.to_string())?;
+    Ok((spec, summary))
+}
+
+/// What a run or a resume executes: the spec's config, the tests its
+/// items name (keyed by name), and the fingerprinted items in spec order.
+#[allow(clippy::type_complexity)]
+fn expand_run(
+    spec: &CampaignSpec,
+) -> Result<
+    (
+        ExperimentConfig,
+        HashMap<String, LitmusTest>,
+        Vec<CampaignItem>,
+    ),
+    String,
+> {
+    let (cfg, expanded) = expand_items(spec).map_err(|e| e.to_string())?;
+    let tests_by_name = expanded
+        .iter()
+        .map(|(t, _)| (t.name().to_owned(), t.clone()))
+        .collect();
+    let items = expanded.into_iter().map(|(_, i)| i).collect();
+    Ok((cfg, tests_by_name, items))
 }
 
 /// Forbidden-ness of every distinct test of a run under `model`, keyed by

@@ -18,7 +18,7 @@ use perple_model::ModelId;
 use perple_serve::SpecRunner;
 
 use crate::error::PerpleError;
-use crate::experiments::campaign::{resume_spec_observed, run_spec_observed};
+use crate::experiments::campaign::{resume_spec, run_spec_observed};
 
 /// Renders a run summary in the fixed key order the serve layer (and
 /// the CLI's JSON mode) rely on. Byte-stable: integers only, insertion
@@ -108,7 +108,7 @@ impl SpecRunner for CampaignRunner {
         on_record: &mut dyn FnMut(usize, Option<String>),
     ) -> Result<String, String> {
         validate_store_root(store_root).map_err(|e| e.to_string())?;
-        let summary = resume_spec_observed(store_root, id, |slot, record| {
+        let (_, summary) = resume_spec(store_root, id, StoreIo::unplanned(), |slot, record| {
             on_record(slot, record.map(|r| r.to_json().render()))
         })?;
         Ok(summary_json(&summary).render())

@@ -24,6 +24,19 @@ workers = 2
 inject = corrupt@t0:0..150
 ";
 
+/// `FAULTY_SPEC` under PSO, with `lb` added: its target is forbidden under
+/// PSO, so the corrupted machine violates PSO (sb's and mp's targets are
+/// PSO-allowed, which keeps the spec clear of the futility gate).
+const FAULTY_PSO_SPEC: &str = "\
+name = ci
+tests = sb, mp, lb
+seeds = 1, 2
+iterations = 150
+workers = 2
+inject = corrupt@t0:0..150
+model = pso
+";
+
 fn perple(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_perple"))
         .current_dir(dir)
@@ -437,5 +450,134 @@ fn malformed_specs_and_unknown_runs_fail_cleanly() {
         stderr(&missing)
     );
 
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `campaign run ... --crash abort@20` against `store`: the run must die.
+fn crash_run(dir: &Path, spec: &str) {
+    let crashed = perple(
+        dir,
+        &[
+            "campaign", "run", spec, "--store", "store", "--crash", "abort@20",
+        ],
+    );
+    assert!(
+        !crashed.status.success(),
+        "injected crash must kill the run"
+    );
+    assert!(
+        stderr(&crashed).contains("injected crash"),
+        "{}",
+        stderr(&crashed)
+    );
+}
+
+/// `campaign fsck --repair`, which must leave `ci-0001` resumable.
+fn repair_leaves_resumable(dir: &Path) {
+    let fsck = perple(dir, &["campaign", "fsck", "--store", "store", "--repair"]);
+    assert!(fsck.status.success(), "{}{}", stdout(&fsck), stderr(&fsck));
+    assert!(
+        stdout(&fsck).contains("resumable ci-0001"),
+        "{}",
+        stdout(&fsck)
+    );
+}
+
+#[test]
+fn crashed_resume_is_fscked_and_resumed_bit_identically() {
+    let dir = sandbox("crash-resume");
+    std::fs::write(dir.join("ci.campaign"), SPEC).unwrap();
+    let reference = perple(
+        &dir,
+        &["campaign", "run", "ci.campaign", "--store", "refstore"],
+    );
+    assert!(reference.status.success(), "{}", stderr(&reference));
+    let ref_items = std::fs::read(dir.join("refstore/runs/ci-0001/items.json")).unwrap();
+
+    crash_run(&dir, "ci.campaign");
+    repair_leaves_resumable(&dir);
+
+    // The resume itself crashes; boundary 2 lands among the first
+    // remaining item's cache and journal writes, long before finalize, so
+    // the run stays resumable.
+    let crashed = perple(
+        &dir,
+        &[
+            "campaign", "resume", "--store", "store", "--crash", "abort@2",
+        ],
+    );
+    assert!(
+        !crashed.status.success(),
+        "injected crash must kill the resume"
+    );
+    assert!(
+        stderr(&crashed).contains("injected crash"),
+        "{}",
+        stderr(&crashed)
+    );
+    repair_leaves_resumable(&dir);
+
+    let resume = perple(&dir, &["campaign", "resume", "--store", "store"]);
+    assert!(resume.status.success(), "{}", stderr(&resume));
+    assert!(
+        stdout(&resume).contains("recovered:"),
+        "{}",
+        stdout(&resume)
+    );
+    let items = std::fs::read(dir.join("store/runs/ci-0001/items.json")).unwrap();
+    assert_eq!(
+        items, ref_items,
+        "crash + fsck + crashed resume + fsck + resume must reproduce items.json byte-for-byte"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn resume_refuses_flags_that_would_edit_the_frozen_spec() {
+    let dir = sandbox("resume-flags");
+    std::fs::write(dir.join("ci.campaign"), SPEC).unwrap();
+    crash_run(&dir, "ci.campaign");
+    // Flags that would edit the frozen spec are refused by name, before
+    // the interrupted run is touched: it stays resumable.
+    for args in [
+        &["--model", "pso"][..],
+        &["--counter", "exhaustive"],
+        &["--allow-lints"],
+    ] {
+        let mut argv = vec!["campaign", "resume", "--store", "store"];
+        argv.extend_from_slice(args);
+        let refused = perple(&dir, &argv);
+        assert!(!refused.status.success(), "{args:?}");
+        let want = format!("{} is not accepted by `campaign resume`", args[0]);
+        assert!(stderr(&refused).contains(&want), "{}", stderr(&refused));
+    }
+    repair_leaves_resumable(&dir);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn resumed_violations_name_the_spec_model() {
+    let dir = sandbox("resume-model");
+    std::fs::write(dir.join("pso.campaign"), FAULTY_PSO_SPEC).unwrap();
+    let run = perple(
+        &dir,
+        &["campaign", "run", "pso.campaign", "--store", "refstore"],
+    );
+    assert!(!run.status.success());
+    assert!(stderr(&run).contains("violates PSO"), "{}", stderr(&run));
+
+    crash_run(&dir, "pso.campaign");
+    repair_leaves_resumable(&dir);
+    let resume = perple(&dir, &["campaign", "resume", "--store", "store"]);
+    assert!(
+        !resume.status.success(),
+        "the resumed run still violates PSO"
+    );
+    assert!(
+        stderr(&resume).contains("the machine under test violates PSO"),
+        "{}",
+        stderr(&resume)
+    );
+    assert!(!stderr(&resume).contains("x86-TSO"), "{}", stderr(&resume));
     let _ = std::fs::remove_dir_all(dir);
 }

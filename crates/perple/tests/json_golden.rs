@@ -7,7 +7,7 @@
 //! those two fields are normalized to fixed values before comparison.
 
 use perple::campaign::engine::{
-    run_campaign_with, CampaignItem, DurabilityPolicy, ExecOutcome, RunMeta, StageWallMs,
+    run_campaign, CampaignItem, DurabilityPolicy, ExecOutcome, RunMeta, StageWallMs,
 };
 use perple::campaign::spec::CampaignSpec;
 use perple::campaign::store::OutcomeRecord;
@@ -116,7 +116,7 @@ fn build_golden_store(root: &Path) -> Vec<CampaignItem> {
         git: "golden".to_owned(),
         lint: None,
     };
-    run_campaign_with(
+    run_campaign(
         &store,
         &cache,
         &spec,
@@ -124,6 +124,7 @@ fn build_golden_store(root: &Path) -> Vec<CampaignItem> {
         &meta,
         DurabilityPolicy::default(),
         |batch| batch.iter().map(|i| Some(outcome(i))).collect(),
+        |_, _| {},
     )
     .unwrap();
     items

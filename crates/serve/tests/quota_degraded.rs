@@ -10,7 +10,7 @@
 //! boundary of a small campaign and checks the ledger at each k.
 
 use perple_campaign::engine::{
-    run_campaign_with, CampaignItem, DurabilityPolicy, ExecOutcome, RunMeta, StageWallMs,
+    run_campaign, CampaignItem, DurabilityPolicy, ExecOutcome, RunMeta, StageWallMs,
 };
 use perple_campaign::io::{CrashPlan, StoreIo};
 use perple_campaign::spec::CampaignSpec;
@@ -74,7 +74,7 @@ fn run_once(root: &PathBuf, io: StoreIo) -> Result<(), String> {
     let cache = ArtifactCache::open_with(root, io).map_err(|e| e.to_string())?;
     let spec = CampaignSpec::named("quota-sweep");
     let items = vec![item("sb", 1), item("mp", 1)];
-    run_campaign_with(
+    run_campaign(
         &store,
         &cache,
         &spec,
@@ -82,6 +82,7 @@ fn run_once(root: &PathBuf, io: StoreIo) -> Result<(), String> {
         &meta(),
         DurabilityPolicy::default(),
         |batch| batch.iter().map(|i| Some(outcome(i))).collect(),
+        |_, _| {},
     )
     .map(|_| ())
     .map_err(|e| e.to_string())

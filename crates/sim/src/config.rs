@@ -4,34 +4,6 @@ use perple_model::ModelId;
 
 use crate::fault::FaultPlan;
 
-/// A rejected simulator or experiment configuration: which field was
-/// invalid and why. The perple facade routes this through
-/// `PerpleError::Config`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The offending field, e.g. `"drain_prob"`.
-    pub field: &'static str,
-    /// Human-readable constraint violation.
-    pub message: String,
-}
-
-impl ConfigError {
-    fn new(field: &'static str, message: impl Into<String>) -> Self {
-        Self {
-            field,
-            message: message.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid {}: {}", self.field, self.message)
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
 /// Tunable parameters of the simulated x86-TSO machine.
 ///
 /// Defaults are calibrated so that (a) weak outcomes of unfenced tests occur
@@ -97,16 +69,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// A validating builder seeded with the calibrated defaults. Unlike
-    /// the panicking `with_*` combinators, [`SimConfigBuilder::build`]
-    /// reports constraint violations as a [`ConfigError`] — the form CLI
-    /// flags and campaign specs need.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder {
-            cfg: SimConfig::default(),
-        }
-    }
-
     /// Returns the config with a different seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -196,124 +158,6 @@ impl SimConfig {
     }
 }
 
-/// Builder for [`SimConfig`] with deferred validation (see
-/// [`SimConfig::builder`]). Setters never panic; [`SimConfigBuilder::build`]
-/// checks every constraint at once.
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Sets the PRNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the per-cycle store-buffer drain probability.
-    pub fn drain_prob(mut self, p: f64) -> Self {
-        self.cfg.drain_prob = p;
-        self
-    }
-
-    /// Sets the store-buffer capacity.
-    pub fn buffer_capacity(mut self, cap: usize) -> Self {
-        self.cfg.buffer_capacity = cap;
-        self
-    }
-
-    /// Sets long-preemption probability and mean duration.
-    pub fn preemption(mut self, prob: f64, mean_cycles: u64) -> Self {
-        self.cfg.preempt_prob = prob;
-        self.cfg.mean_preempt = mean_cycles;
-        self
-    }
-
-    /// Sets micro-preemption probability and mean duration.
-    pub fn micro_preemption(mut self, prob: f64, mean_cycles: u64) -> Self {
-        self.cfg.micro_preempt_prob = prob;
-        self.cfg.mean_micro_preempt = mean_cycles;
-        self
-    }
-
-    /// Sets short-stall probability and mean duration.
-    pub fn stalls(mut self, prob: f64, mean_cycles: u64) -> Self {
-        self.cfg.stall_prob = prob;
-        self.cfg.mean_stall = mean_cycles;
-        self
-    }
-
-    /// Enables the deliberately TSO-violating PSO-like drain order.
-    pub fn weak_store_order(mut self, weak: bool) -> Self {
-        self.cfg.weak_store_order = weak;
-        self
-    }
-
-    /// Installs a fault-injection plan.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.cfg.fault_plan = plan;
-        self
-    }
-
-    /// Selects the memory model the machine executes.
-    pub fn model(mut self, model: ModelId) -> Self {
-        self.cfg.model = model;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] naming the first violated constraint:
-    /// `drain_prob` must lie in `(0, 1]` (zero would deadlock fences),
-    /// every other probability in `[0, 1]`, `buffer_capacity` must be at
-    /// least 1, and any scheduler noise with non-zero probability needs a
-    /// non-zero mean duration.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        let c = &self.cfg;
-        if !(c.drain_prob > 0.0 && c.drain_prob <= 1.0) {
-            return Err(ConfigError::new(
-                "drain_prob",
-                format!("{} is outside (0, 1]", c.drain_prob),
-            ));
-        }
-        for (field, p) in [
-            ("preempt_prob", c.preempt_prob),
-            ("micro_preempt_prob", c.micro_preempt_prob),
-            ("stall_prob", c.stall_prob),
-        ] {
-            if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                return Err(ConfigError::new(field, format!("{p} is outside [0, 1]")));
-            }
-        }
-        if c.buffer_capacity == 0 {
-            return Err(ConfigError::new(
-                "buffer_capacity",
-                "must be at least 1 (a store could never retire)",
-            ));
-        }
-        for (field, prob, mean) in [
-            ("mean_preempt", c.preempt_prob, c.mean_preempt),
-            (
-                "mean_micro_preempt",
-                c.micro_preempt_prob,
-                c.mean_micro_preempt,
-            ),
-            ("mean_stall", c.stall_prob, c.mean_stall),
-        ] {
-            if prob > 0.0 && mean == 0 {
-                return Err(ConfigError::new(
-                    field,
-                    "must be non-zero when its probability is non-zero",
-                ));
-            }
-        }
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,83 +189,6 @@ mod tests {
     #[should_panic(expected = "drain_prob")]
     fn zero_drain_prob_rejected() {
         let _ = SimConfig::default().with_drain_prob(0.0);
-    }
-
-    #[test]
-    fn builder_defaults_equal_the_default_config() {
-        assert_eq!(SimConfig::builder().build().unwrap(), SimConfig::default());
-    }
-
-    #[test]
-    fn builder_applies_every_field() {
-        let plan = FaultPlan::parse("drop@t0:0..5:p0.5").unwrap();
-        let c = SimConfig::builder()
-            .seed(9)
-            .drain_prob(0.5)
-            .buffer_capacity(4)
-            .preemption(0.001, 100)
-            .micro_preemption(0.01, 20)
-            .stalls(0.1, 2)
-            .weak_store_order(true)
-            .fault_plan(plan.clone())
-            .build()
-            .unwrap();
-        let by_hand = SimConfig {
-            seed: 9,
-            drain_prob: 0.5,
-            buffer_capacity: 4,
-            preempt_prob: 0.001,
-            mean_preempt: 100,
-            micro_preempt_prob: 0.01,
-            mean_micro_preempt: 20,
-            stall_prob: 0.1,
-            mean_stall: 2,
-            weak_store_order: true,
-            fault_plan: plan,
-            model: ModelId::Tso,
-        };
-        assert_eq!(c, by_hand);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_fields_with_named_errors() {
-        let err = SimConfig::builder().drain_prob(0.0).build().unwrap_err();
-        assert_eq!(err.field, "drain_prob");
-        let err = SimConfig::builder().drain_prob(1.5).build().unwrap_err();
-        assert_eq!(err.field, "drain_prob");
-        let err = SimConfig::builder().buffer_capacity(0).build().unwrap_err();
-        assert_eq!(err.field, "buffer_capacity");
-        let err = SimConfig::builder()
-            .preemption(2.0, 100)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "preempt_prob");
-        let err = SimConfig::builder().stalls(0.1, 0).build().unwrap_err();
-        assert_eq!(err.field, "mean_stall");
-        assert!(err.to_string().contains("mean_stall"));
-        // Zero mean is fine while the probability is zero (the "quiet"
-        // scheduler configuration).
-        assert!(SimConfig::builder().preemption(0.0, 0).build().is_ok());
-    }
-
-    #[test]
-    fn builder_migration_preserves_cache_descriptors() {
-        // Fingerprint stability: a builder-produced config must emit the
-        // exact descriptor bytes the combinator path emits, and the
-        // default descriptor itself is pinned — campaign cache keys
-        // derive from it, so any drift invalidates stores.
-        let via_builder = SimConfig::builder().seed(7).build().unwrap();
-        let via_combinators = SimConfig::default().with_seed(7);
-        assert_eq!(
-            via_builder.cache_descriptor(),
-            via_combinators.cache_descriptor()
-        );
-        assert_eq!(
-            SimConfig::default().cache_descriptor(),
-            "seed=0xc0ffee00;drain=0.35;cap=8;preempt=0.0002/400;micro=0.004/30;\
-             stall=0.12/5;weak=false;faults=none"
-                .replace(['\n', ' '], "")
-        );
     }
 
     #[test]
@@ -462,16 +229,5 @@ mod tests {
                 assert!(d.ends_with(&format!(";model={}", m.name())), "{d}");
             }
         }
-        // Builder path agrees with the combinator path.
-        let via_builder = SimConfig::builder()
-            .model(ModelId::Relaxed)
-            .build()
-            .unwrap();
-        assert_eq!(
-            via_builder.cache_descriptor(),
-            SimConfig::default()
-                .with_model(ModelId::Relaxed)
-                .cache_descriptor()
-        );
     }
 }

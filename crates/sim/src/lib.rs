@@ -61,7 +61,7 @@ mod rng;
 pub mod trace;
 
 pub use budget::Budget;
-pub use config::{ConfigError, SimConfig, SimConfigBuilder};
+pub use config::SimConfig;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use machine::{Machine, RunOutput};
 pub use program::{Addr, SimOp, ThreadSpec, ValExpr};

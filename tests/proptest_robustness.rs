@@ -15,6 +15,7 @@ use perple::{
 use perple_convert::KMap;
 use perple_model::{generate, parser, printer, suite, LitmusTest, TestBuilder};
 use perple_repro::prop::{run_cases, Gen};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
 fn parser_never_panics_on_arbitrary_input() {
@@ -26,22 +27,60 @@ fn parser_never_panics_on_arbitrary_input() {
 
 #[test]
 fn parser_never_panics_on_litmus_shaped_garbage() {
+    // Each cell starts as a well-formed store (`MOV [x],$1`), load
+    // (`MOV EAX,[x]`), exchange (`XCHG [x],$1 -> EAX`) or fence, then may
+    // get a wrong mnemonic, swapped operands or a toggled `-> REG` suffix,
+    // and its operands may be blank or mistyped. So both valid and
+    // malformed programs are drawn, and the success path is reached too.
     let ops = ["MOV", "XCHG", "MFENCE", "QQQ"];
-    let addrs = ["", "[x]", "[y]"];
-    let vals = ["", "$1", "$255", "EAX", "EBX", "ECX", "EDX"];
-    run_cases(64, |g| {
+    let addrs = ["[x]", "[y]", ""];
+    let vals = ["$1", "$255", "EAX"];
+    let regs = ["EAX", "EBX"];
+    let parsed = AtomicUsize::new(0);
+    run_cases(512, |g| {
         let name_len = 1 + g.below(8);
         let name = g.string_from("abcdefghijklmnopqrstuvwxyz", name_len);
-        let cell = format!(
-            "{} {},{}",
-            g.choose(&ops),
-            g.choose(&addrs),
-            g.choose(&vals)
-        );
-        let src =
-            format!("X86 {name}\n{{ x=0; }}\n P0 | P1 ;\n {cell} | {cell} ;\nexists (0:EAX=0)");
-        let _ = parser::parse(&src);
+        let mut cell = || {
+            let (addr, val, reg) = (*g.choose(&addrs), *g.choose(&vals), *g.choose(&regs));
+            let (mut op, mut a, mut b, mut suffix) = match g.below(4) {
+                0 => ("MOV", addr, val, false),
+                1 => ("MOV", reg, addr, false),
+                2 => ("XCHG", addr, val, true),
+                _ => return "MFENCE".to_owned(),
+            };
+            if g.chance(1, 4) {
+                op = *g.choose(&ops);
+            }
+            if g.chance(1, 4) {
+                std::mem::swap(&mut a, &mut b);
+            }
+            if g.chance(1, 4) {
+                suffix = !suffix;
+            }
+            let cell = format!("{op} {a},{b}");
+            if suffix {
+                format!("{cell} -> {}", g.choose(&regs))
+            } else {
+                cell
+            }
+        };
+        let (p0, p1) = (cell(), cell());
+        let value = g.below(2);
+        let cond = if g.chance(1, 2) {
+            format!("{}:{}={value}", g.below(2), g.choose(&regs))
+        } else {
+            format!("[x]={value}")
+        };
+        let src = format!("X86 {name}\n{{ x=0; }}\n P0 | P1 ;\n {p0} | {p1} ;\nexists ({cond})");
+        if let Ok(test) = parser::parse(&src) {
+            parsed.fetch_add(1, Ordering::Relaxed);
+            let printed = printer::print(&test);
+            let reparsed = parser::parse(&printed).expect("printed test reparses");
+            assert_eq!(reparsed, test, "{src}");
+        }
     });
+    let parsed = parsed.into_inner();
+    assert!(parsed > 0, "no case reached the parser's success path");
 }
 
 /// A random program that can carry every obstruction a builder can make:
