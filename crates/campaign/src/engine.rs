@@ -162,7 +162,7 @@ impl RunMeta {
     ///
     /// # Errors
     /// [`CampaignError::Corrupt`] when required fields are missing.
-    pub fn from_pending_json(pending: &Json) -> Result<Self, CampaignError> {
+    fn from_pending_json(pending: &Json) -> Result<Self, CampaignError> {
         let need = |field: &'static str| {
             move || CampaignError::Corrupt(format!("pending marker is missing {field:?}"))
         };
@@ -182,6 +182,42 @@ impl RunMeta {
                 notes: l.get("notes").and_then(Json::as_u64).unwrap_or(0),
             }),
         })
+    }
+}
+
+/// An interrupted run, rebuilt from its `pending.json` marker: loading
+/// one is the resumability check (so the fields stay private), and it
+/// carries everything a resume needs but the expanded items.
+#[derive(Debug)]
+pub struct PendingRun {
+    id: String,
+    spec: CampaignSpec,
+    meta: RunMeta,
+}
+
+impl PendingRun {
+    /// Loads and parses the marker of run `id`.
+    ///
+    /// # Errors
+    /// [`CampaignError::NotFound`] if the run has no pending marker (it
+    /// completed, or never started); [`CampaignError::Corrupt`] if the
+    /// marker does not parse or lacks a field; the spec's own parse
+    /// error if its spec text no longer parses.
+    pub fn load(store: &RunStore, id: &str) -> Result<PendingRun, CampaignError> {
+        let marker = store.load_pending(id)?;
+        let spec_text = marker.get("spec").and_then(Json::as_str).ok_or_else(|| {
+            CampaignError::Corrupt(format!("run {id:?}: pending marker has no spec"))
+        })?;
+        Ok(PendingRun {
+            id: id.to_owned(),
+            spec: CampaignSpec::parse(spec_text)?,
+            meta: RunMeta::from_pending_json(&marker)?,
+        })
+    }
+
+    /// The run's frozen spec, as the marker recorded it.
+    pub fn spec(&self) -> &CampaignSpec {
+        &self.spec
     }
 }
 
@@ -296,35 +332,33 @@ pub fn run_campaign(
     drive(store, cache, spec, items, meta, policy, exec, on_item, open)
 }
 
-/// Resumes the interrupted run `id`: load its pending marker, replay the
-/// journal (amputating a torn trailing frame), check the header, reopen
-/// (or create) the journal, then partition, execute and finalize in the
-/// body a fresh run shares. Journaled items are served from the replay,
-/// unchanged items from the cache, and only the remainder executes; the
-/// resulting `items.json` is bit-identical to an uninterrupted run's.
-/// `on_item` observes as for [`run_campaign`].
+/// Resumes the interrupted run `pending` (loaded with
+/// [`PendingRun::load`], which is what makes it resumable), whose spec
+/// expands to `items`: replay the journal (amputating a torn trailing
+/// frame), check the header, reopen (or create) the journal, then
+/// partition, execute and finalize in the body a fresh run shares.
+/// Journaled items are served from the replay, unchanged items from the
+/// cache, and only the remainder executes; the resulting `items.json` is
+/// bit-identical to an uninterrupted run's. `on_item` observes as for
+/// [`run_campaign`].
 ///
 /// # Errors
-/// [`CampaignError::NotFound`] if the run has no pending marker (it
-/// completed, or never started); [`CampaignError::Storage`] for journal
-/// corruption beyond a torn tail; [`CampaignError::Corrupt`] when the
-/// journal header names another run or another item count; other
-/// [`CampaignError`]s as for [`run_campaign`].
-#[allow(clippy::too_many_arguments)]
+/// [`CampaignError::Storage`] for journal corruption beyond a torn tail;
+/// [`CampaignError::Corrupt`] when the journal header names another run
+/// or another item count; other [`CampaignError`]s as for
+/// [`run_campaign`].
 pub fn resume_campaign(
     store: &RunStore,
     cache: &ArtifactCache,
-    id: &str,
-    spec: &CampaignSpec,
+    pending: &PendingRun,
     items: &[CampaignItem],
-    meta: &RunMeta,
     policy: DurabilityPolicy,
     exec: impl FnMut(&[CampaignItem]) -> Vec<Option<ExecOutcome>>,
     on_item: impl FnMut(usize, Option<&OutcomeRecord>),
 ) -> Result<RunSummary, CampaignError> {
+    let PendingRun { id, spec, meta } = pending;
+    let id = id.as_str();
     let open = || {
-        // Only a reserved-but-unfinalized run is resumable.
-        store.load_pending(id)?;
         let journal_path = store.journal_path(id);
         let replay = Journal::replay(&journal_path)?;
         if replay.torn_tail {
@@ -913,7 +947,11 @@ mod tests {
         let ref_root = base.join("ref");
         let ref_store = RunStore::open(&ref_root).unwrap();
         let ref_cache = ArtifactCache::open(&ref_root).unwrap();
-        let spec = CampaignSpec::named("r");
+        // The spec names its items' tests: a resume re-parses it from
+        // the pending marker.
+        let mut spec = CampaignSpec::named("r");
+        spec.tests = vec!["mp".to_owned()];
+        spec.seeds = (1..=6).collect();
         let items: Vec<CampaignItem> = (1..=6).map(|s| item("mp", s)).collect();
         let policy = DurabilityPolicy {
             chunk: 2,
@@ -995,13 +1033,12 @@ mod tests {
             .unwrap()
             .records
             .len();
+        let pending = PendingRun::load(&store, "r-0001").unwrap();
         let summary = resume_campaign(
             &store,
             &cache,
-            "r-0001",
-            &spec,
+            &pending,
             &items,
-            &meta(),
             policy,
             count_exec,
             |_, _| {},
@@ -1112,18 +1149,7 @@ mod tests {
         })
         .unwrap();
         for id in [done.id.as_str(), "n-9999"] {
-            let err = resume_campaign(
-                &store,
-                &cache,
-                id,
-                &spec,
-                &items,
-                &meta(),
-                DurabilityPolicy::default(),
-                |b: &[CampaignItem]| b.iter().map(|i| Some(outcome(i, 1, true))).collect(),
-                |_, _| {},
-            )
-            .unwrap_err();
+            let err = PendingRun::load(&store, id).unwrap_err();
             assert!(matches!(err, CampaignError::NotFound(_)), "{id}: {err}");
         }
         let _ = fs::remove_dir_all(root);
@@ -1135,7 +1161,9 @@ mod tests {
         let io = StoreIo::new(CrashPlan::abort_at(8));
         let store = RunStore::open_with(&root, io.clone()).unwrap();
         let cache = ArtifactCache::open_with(&root, io).unwrap();
-        let spec = CampaignSpec::named("sc");
+        let mut spec = CampaignSpec::named("sc");
+        spec.tests = vec!["sb".to_owned()];
+        spec.seeds = vec![1, 2];
         let items = vec![item("sb", 1), item("sb", 2)];
         let _ = run(&store, &cache, &spec, &items, &meta(), |b| {
             b.iter()
@@ -1153,10 +1181,8 @@ mod tests {
         let err = resume_campaign(
             &store,
             &cache,
-            "sc-0001",
-            &spec,
+            &PendingRun::load(&store, "sc-0001").unwrap(),
             &grown,
-            &meta(),
             DurabilityPolicy::default(),
             |b: &[CampaignItem]| b.iter().map(|i| Some(outcome(i, 1, true))).collect(),
             |_, _| {},

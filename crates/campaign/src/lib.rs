@@ -49,7 +49,7 @@ pub use compare::{
 };
 pub use engine::{
     resume_campaign, run_campaign, CampaignItem, DurabilityPolicy, ExecOutcome, LintSummary,
-    RunMeta, RunSummary, StageWallMs,
+    PendingRun, RunMeta, RunSummary, StageWallMs,
 };
 pub use fingerprint::{Fingerprint, Hasher, CACHE_FORMAT_VERSION};
 pub use fsck::{fsck, Finding, FsckReport};

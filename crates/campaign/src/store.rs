@@ -312,7 +312,7 @@ impl RunStore {
     /// [`CampaignError::NotFound`] if the run has no pending marker (it
     /// finished, or never started), [`CampaignError::Corrupt`] if the
     /// marker does not parse.
-    pub fn load_pending(&self, id: &str) -> Result<Json, CampaignError> {
+    pub(crate) fn load_pending(&self, id: &str) -> Result<Json, CampaignError> {
         let path = self.pending_path(id);
         let text = fs::read_to_string(&path)
             .map_err(|_| CampaignError::NotFound(format!("run {id:?} is not resumable")))?;
@@ -402,8 +402,8 @@ impl RunStore {
     /// append also repairs the index's framing.
     fn append_index(&self, manifest: &Json) -> Result<(), CampaignError> {
         let path = self.index_path();
-        if let Ok(existing) = fs::read(&path) {
-            if !existing.is_empty() && existing.last() != Some(&b'\n') {
+        if !ends_at_line_boundary(&path) {
+            if let Ok(existing) = fs::read(&path) {
                 let keep = existing
                     .iter()
                     .rposition(|&b| b == b'\n')
@@ -541,6 +541,21 @@ pub fn git_describe() -> String {
                 .unwrap_or_else(|| "unknown".to_owned())
         })
         .clone()
+}
+
+/// True when the file at `path` is missing, empty, or ends in `\n`.
+/// Only its last byte is read, so an index append costs the same however
+/// many runs the index already lists; a torn tail is the rare case that
+/// reads the whole file.
+fn ends_at_line_boundary(path: &Path) -> bool {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut last = [b'\n'];
+    if let Ok(mut f) = fs::File::open(path) {
+        if f.seek(SeekFrom::End(-1)).is_ok() {
+            let _ = f.read_exact(&mut last);
+        }
+    }
+    last[0] == b'\n'
 }
 
 #[cfg(test)]

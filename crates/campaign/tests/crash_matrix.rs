@@ -25,7 +25,7 @@ use std::sync::Mutex;
 use perple_campaign::{
     fsck, resume_campaign, run_campaign, ArtifactCache, CampaignError, CampaignItem, CampaignSpec,
     CrashPlan, DurabilityPolicy, ExecOutcome, FsyncPolicy, Hasher, Journal, LintSummary,
-    OutcomeRecord, RunMeta, RunStore, RunSummary, StageWallMs, StoreIo,
+    OutcomeRecord, PendingRun, RunMeta, RunStore, RunSummary, StageWallMs, StoreIo,
 };
 
 fn tmp_root(tag: &str) -> PathBuf {
@@ -214,10 +214,8 @@ fn every_crash_boundary_recovers_bit_identically_with_zero_reexecution() {
                 let summary = resume_campaign(
                     &store,
                     &cache,
-                    id,
-                    &spec(),
+                    &PendingRun::load(&store, id).unwrap(),
                     &items(),
-                    &meta(),
                     policy(),
                     exec_counting(&counts),
                     |_, _| {},
@@ -392,14 +390,11 @@ fn resume_pending(
         panic!("one pending run expected, found {pending:?}");
     };
     let exec = exec_counting(counts);
-    let (spec, items) = (spec(), items());
     resume_campaign(
         &store,
         &cache,
-        id,
-        &spec,
-        &items,
-        &meta(),
+        &PendingRun::load(&store, id)?,
+        &items(),
         policy(),
         exec,
         |_, _| {},

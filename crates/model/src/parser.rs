@@ -339,8 +339,9 @@ fn parse_instr(
             tb.store(&loc, value);
             Ok(())
         } else if src.starts_with('[') {
+            let reg = register(dst, line, ctx)?;
             let loc = brackets(src, line, ctx)?;
-            tb.load(dst, &loc);
+            tb.load(reg, &loc);
             Ok(())
         } else {
             Err(perr_span(
@@ -368,7 +369,8 @@ fn parse_instr(
         })?;
         let loc = brackets(dst.trim(), line, ctx)?;
         let value = immediate(val.trim(), line, ctx)?;
-        tb.xchg(reg.trim(), &loc, value);
+        let reg = register(reg.trim(), line, ctx)?;
+        tb.xchg(reg, &loc, value);
         return Ok(());
     }
     Err(perr_span(
@@ -398,6 +400,25 @@ fn brackets(s: &str, line: usize, ctx: Ctx<'_>) -> Result<String, ModelError> {
             line,
             ctx.span(line, s),
             format!("expected bracketed location, found {s:?}"),
+        ))
+    }
+}
+
+/// A load's destination: an identifier (`EAX`, `R0`), so an operand
+/// such as `$255` is refused rather than taken for a register name.
+fn register<'a>(s: &'a str, line: usize, ctx: Ctx<'_>) -> Result<&'a str, ModelError> {
+    let mut chars = s.chars();
+    if chars
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+    {
+        Ok(s)
+    } else {
+        Err(perr_span(
+            line,
+            ctx.span(line, s),
+            format!("expected register, found {s:?}"),
         ))
     }
 }
@@ -703,6 +724,24 @@ exists (0:EAX=0)
             .unwrap_err()
             .to_string()
             .contains("register initialization"));
+    }
+
+    #[test]
+    fn rejects_a_load_or_exchange_into_a_non_register() {
+        for (cell, bad) in [("MOV $255,[x]", "$255"), ("XCHG [x],$1 -> 1x", "1x")] {
+            let src = format!("X86 t\n{{ x=0; }}\n P0 ;\n {cell} ;\nexists ([x]=0)");
+            let err = parse(&src).unwrap_err();
+            let ModelError::Parse {
+                line: 4,
+                span: Some(span),
+                ..
+            } = err
+            else {
+                panic!("expected a spanned parse error on line 4, got {err:?}");
+            };
+            assert_eq!(span.slice(&src), Some(bad));
+            assert!(err.to_string().contains("expected register"), "{err}");
+        }
     }
 
     #[test]

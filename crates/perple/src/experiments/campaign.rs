@@ -34,11 +34,10 @@ use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use perple_analysis::jsonout::Json;
 use perple_campaign::{
     git_describe, resume_campaign, run_campaign, ArtifactCache, CampaignItem, CampaignSpec,
-    ExecOutcome, Fingerprint, Hasher, LintSummary, OutcomeRecord, RunMeta, RunStore, RunSummary,
-    StageWallMs, StoreIo,
+    ExecOutcome, Fingerprint, Hasher, LintSummary, OutcomeRecord, PendingRun, RunMeta, RunStore,
+    RunSummary, StageWallMs, StoreIo,
 };
 use perple_convert::artifact::ArtifactBundle;
 use perple_lint::{lint_test, LintConfig, LintReport, RuleId, Severity};
@@ -376,27 +375,19 @@ pub fn resume_spec(
 ) -> Result<(CampaignSpec, RunSummary), String> {
     let store = RunStore::open_with(store_root, io.clone()).map_err(|e| e.to_string())?;
     let cache = ArtifactCache::open_with(store_root, io).map_err(|e| e.to_string())?;
-    let pending = store.load_pending(id).map_err(|e| e.to_string())?;
-    let spec_text = pending
-        .get("spec")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("run {id:?}: pending marker has no spec"))?;
-    let spec = CampaignSpec::parse(spec_text).map_err(|e| e.to_string())?;
-    let meta = RunMeta::from_pending_json(&pending).map_err(|e| e.to_string())?;
-    let (cfg, tests_by_name, items) = expand_run(&spec)?;
+    let pending = PendingRun::load(&store, id).map_err(|e| e.to_string())?;
+    let (cfg, tests_by_name, items) = expand_run(pending.spec())?;
     let summary = resume_campaign(
         &store,
         &cache,
-        id,
-        &spec,
+        &pending,
         &items,
-        &meta,
-        spec.durability(),
+        pending.spec().durability(),
         run_executor(&tests_by_name, &cfg, &cache),
         on_item,
     )
     .map_err(|e| e.to_string())?;
-    Ok((spec, summary))
+    Ok((pending.spec().clone(), summary))
 }
 
 /// What a run or a resume executes: the spec's config, the tests its

@@ -10,6 +10,11 @@ use perple::serve::client::{self, Target};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// How long a SIGTERM'd server may take to drain before the test kills
+/// it and fails (a lost accept wake would otherwise hang the test).
+const DRAIN_DEADLINE: Duration = Duration::from_secs(60);
 
 fn perple_cmd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_perple"))
@@ -97,7 +102,8 @@ impl ServeProc {
         Target::Tcp(self.addr.clone())
     }
 
-    /// SIGTERM, then waits for a clean exit and the drain banner.
+    /// SIGTERM, then waits (at most [`DRAIN_DEADLINE`]) for a clean exit
+    /// and returns the lines printed after the banner.
     fn terminate(mut self) -> Vec<String> {
         let pid = self.child.id().to_string();
         let kill = Command::new("kill")
@@ -105,7 +111,18 @@ impl ServeProc {
             .status()
             .expect("send SIGTERM");
         assert!(kill.success());
-        let status = self.child.wait().expect("wait for serve");
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        let status = loop {
+            if let Some(status) = self.child.try_wait().expect("wait for serve") {
+                break status;
+            }
+            if Instant::now() >= deadline {
+                let _ = Command::new("kill").args(["-9", &pid]).status();
+                let _ = self.child.wait();
+                panic!("serve did not drain within {DRAIN_DEADLINE:?} of SIGTERM");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
         assert!(status.success(), "serve must exit 0 on SIGTERM drain");
         let mut rest = String::new();
         std::io::Read::read_to_string(&mut self.reader, &mut rest).unwrap();
@@ -287,6 +304,19 @@ fn server_boot_resumes_a_crash_interrupted_store() {
     assert_eq!(summary_count(&tail, "executed"), 0);
 
     serve.terminate();
+    assert_fsck_clean(&dir, "store");
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn sigterm_drains_a_server_that_never_accepted() {
+    let dir = sandbox("idle");
+    let serve = ServeProc::boot(&dir, "store", "1");
+    // Give serve() time to block in accept, so the signal must wake it.
+    std::thread::sleep(Duration::from_millis(100));
+    let tail_lines = serve.terminate();
+    assert_eq!(tail_lines, ["drained cleanly"]);
     assert_fsck_clean(&dir, "store");
 
     let _ = std::fs::remove_dir_all(dir);

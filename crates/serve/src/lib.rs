@@ -13,9 +13,10 @@
 //! Everything is `std`-only by design (mirroring the workspace-wide
 //! zero-dependency rule): the HTTP/1.1 subset in [`http`] is hand-rolled,
 //! the bounded job queue in [`queue`] is a single mutex + condvar with
-//! per-client admission quotas, and [`signal`] installs the only `unsafe`
-//! block in the workspace (an `extern "C"` SIGTERM/SIGINT handler that
-//! flips an atomic flag) so that the binary crates can keep
+//! per-client admission quotas, and [`signal`] holds the only `unsafe`
+//! code in the workspace (an `extern "C"` SIGTERM/SIGINT handler that
+//! flips an atomic flag, and the `shutdown(2)` call that wakes the
+//! blocked accept loop on drain) so that the binary crates can keep
 //! `#![forbid(unsafe_code)]`.
 //!
 //! The crate is engine-agnostic the same way `perple-campaign` is: it
@@ -30,7 +31,8 @@
 
 // `deny` rather than the workspace-usual `forbid`: the `signal` module
 // carries the one permitted `#[allow(unsafe_code)]` for its `extern "C"`
-// handler registration, and `forbid` cannot be locally lifted.
+// handler registration and listener wake, and `forbid` cannot be locally
+// lifted.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

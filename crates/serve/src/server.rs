@@ -1,11 +1,11 @@
 //! The threaded campaign server.
 //!
-//! One accept thread (nonblocking, polling the drain flag between
-//! accepts), one short-lived handler thread per connection, and a fixed
-//! pool of worker threads multiplexing jobs from the [`JobQueue`]
-//! through the embedder's [`SpecRunner`] — which in turn shares one
-//! content-addressed cache and journaled run store across every job, so
-//! a resubmitted spec is pure cache hits.
+//! One accept thread (blocked in `accept`; a drain trigger wakes it by
+//! shutting the listener down), one short-lived handler thread per
+//! connection, and a fixed pool of worker threads multiplexing jobs
+//! from the [`JobQueue`] through the embedder's [`SpecRunner`] — which
+//! in turn shares one content-addressed cache and journaled run store
+//! across every job, so a resubmitted spec is pure cache hits.
 //!
 //! Streaming order: the engine observes cache hits first (slot order)
 //! and executed items as they complete; a small reorder buffer holds
@@ -14,10 +14,12 @@
 //! record sequence of the equivalent batch run.
 //!
 //! Graceful drain: when SIGTERM flips the [`crate::signal`] flag (or a
-//! [`ShutdownHandle`] fires), the accept loop stops, the queue rejects
-//! new work with 503, workers finish every queued and running job (the
-//! engine journals in-flight chunks via its write-ahead machinery), and
-//! the process exits with a store `campaign fsck` finds nothing in.
+//! [`ShutdownHandle`] fires), the trigger wakes the blocked `accept`
+//! with `shutdown(2)` on the listener, the accept loop stops, the queue
+//! rejects new work with 503, workers finish every queued and running
+//! job (the engine journals in-flight chunks via its write-ahead
+//! machinery), and the process exits with a store `campaign fsck` finds
+//! nothing in.
 
 use crate::http::{write_response, ChunkedWriter, Request};
 use crate::queue::{Job, JobQueue, Next, SubmitError};
@@ -27,6 +29,7 @@ use perple_obs::metrics::{add, observe, snapshot, Hist, Metric};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,8 +40,6 @@ use std::time::{Duration, Instant};
 /// the oldest are evicted (bounds registry memory on long-lived
 /// servers).
 const RETAIN_DONE: usize = 256;
-/// Accept-loop poll interval while idle.
-const POLL: Duration = Duration::from_millis(20);
 /// Per-connection read timeout (a stuck client must not block drain).
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -82,6 +83,22 @@ impl ServerConfig {
 enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener),
+}
+
+impl Listener {
+    fn fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l) => l.as_raw_fd(),
+        }
+    }
+
+    fn accept(&self) -> std::io::Result<Conn> {
+        match self {
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
+        }
+    }
 }
 
 enum Conn {
@@ -207,12 +224,21 @@ impl Reorder {
 }
 
 struct Ctx {
+    /// Lives as long as any [`ShutdownHandle`], so a handle's wake never
+    /// reaches a closed or reused descriptor.
+    listener: Listener,
     queue: Arc<JobQueue>,
     registry: Registry,
     runner: Arc<dyn SpecRunner>,
     store_root: PathBuf,
     totals: Totals,
     stop: AtomicBool,
+}
+
+impl Ctx {
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst) || signal::shutdown_requested()
+    }
 }
 
 /// Stops one server without touching the process-wide signal flag
@@ -223,15 +249,15 @@ pub struct ShutdownHandle {
 }
 
 impl ShutdownHandle {
-    /// Begin graceful drain, as if SIGTERM had arrived.
+    /// Begin graceful drain, as if SIGTERM had arrived. Idempotent.
     pub fn shutdown(&self) {
         self.ctx.stop.store(true, Ordering::SeqCst);
+        signal::wake(self.ctx.listener.fd());
     }
 }
 
 /// A bound (but not yet serving) campaign server.
 pub struct Server {
-    listener: Listener,
     local: String,
     config: ServerConfig,
     ctx: Arc<Ctx>,
@@ -262,12 +288,8 @@ impl Server {
                 (Listener::Unix(l), path.display().to_string())
             }
         };
-        match &listener {
-            Listener::Tcp(l) => l.set_nonblocking(true),
-            Listener::Unix(l) => l.set_nonblocking(true),
-        }
-        .map_err(|e| ServeError::Bind(e.to_string()))?;
         let ctx = Arc::new(Ctx {
+            listener,
             queue: Arc::new(JobQueue::new(
                 config.queue_capacity,
                 config.per_client_quota,
@@ -282,12 +304,7 @@ impl Server {
             },
             stop: AtomicBool::new(false),
         });
-        Ok(Server {
-            listener,
-            local,
-            config,
-            ctx,
-        })
+        Ok(Server { local, config, ctx })
     }
 
     /// The bound address: `HOST:PORT` for TCP (real port even when the
@@ -348,39 +365,11 @@ impl Server {
                     .map_err(|e| ServeError::Bind(e.to_string()))?,
             );
         }
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if ctx.stop.load(Ordering::SeqCst) || signal::shutdown_requested() {
-                break;
-            }
-            let accepted = match &self.listener {
-                Listener::Tcp(l) => match l.accept() {
-                    Ok((s, _)) => Some(Conn::Tcp(s)),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                    Err(e) => return Err(ServeError::Io(e.to_string())),
-                },
-                Listener::Unix(l) => match l.accept() {
-                    Ok((s, _)) => Some(Conn::Unix(s)),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                    Err(e) => return Err(ServeError::Io(e.to_string())),
-                },
-            };
-            match accepted {
-                Some(conn) => {
-                    let ctx = Arc::clone(&ctx);
-                    if let Ok(h) = std::thread::Builder::new()
-                        .name("perple-serve-conn".into())
-                        .spawn(move || handle_conn(conn, &ctx))
-                    {
-                        handlers.push(h);
-                    }
-                    // Reap finished handlers so the vec stays bounded
-                    // under sustained load.
-                    handlers.retain(|h| !h.is_finished());
-                }
-                None => std::thread::sleep(POLL),
-            }
-        }
+        let fd = ctx.listener.fd();
+        signal::arm(fd);
+        let handlers = accept_loop(&ctx);
+        signal::disarm(fd);
+        let handlers = handlers?;
         // Drain: stop admitting, finish what was admitted.
         ctx.queue.drain();
         for w in workers {
@@ -395,6 +384,32 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// Accepts connections until a drain trigger fires; returns the
+/// handler threads still to join. `accept` blocks; the trigger's wake
+/// makes it fail, which is drain when a flag is set and an I/O error
+/// otherwise.
+fn accept_loop(ctx: &Arc<Ctx>) -> Result<Vec<std::thread::JoinHandle<()>>, ServeError> {
+    let mut handlers = Vec::new();
+    while !ctx.stopping() {
+        let conn = match ctx.listener.accept() {
+            Ok(conn) => conn,
+            Err(_) if ctx.stopping() => break,
+            Err(e) => return Err(ServeError::Io(e.to_string())),
+        };
+        let ctx = Arc::clone(ctx);
+        if let Ok(h) = std::thread::Builder::new()
+            .name("perple-serve-conn".into())
+            .spawn(move || handle_conn(conn, &ctx))
+        {
+            handlers.push(h);
+        }
+        // Reap finished handlers so the vec stays bounded under
+        // sustained load.
+        handlers.retain(|h| !h.is_finished());
+    }
+    Ok(handlers)
 }
 
 fn note_summary(ctx: &Ctx, summary: &str) {

@@ -7,7 +7,7 @@
 use perple_serve::server::{Bind, Server, ServerConfig};
 use perple_serve::{client, SpecRunner};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A gate the blocking stub parks on until the test opens it.
@@ -99,6 +99,20 @@ fn boot(
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.serve());
     (target, handle, join)
+}
+
+/// Waits for `serve()` to return, failing (instead of hanging) when a
+/// drain trigger's wake is lost and `accept` stays blocked.
+fn join_within(
+    join: std::thread::JoinHandle<Result<(), perple_serve::ServeError>>,
+    secs: u64,
+) -> Result<(), perple_serve::ServeError> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(join.join().unwrap());
+    });
+    rx.recv_timeout(Duration::from_secs(secs))
+        .expect("serve() did not return after shutdown: the accept wake was lost")
 }
 
 fn stats_field(target: &client::Target, field: &str) -> u64 {
@@ -237,6 +251,63 @@ fn drain_finishes_admitted_jobs_before_exit() {
     std::thread::sleep(Duration::from_millis(50));
     gate.open();
     join.join().unwrap().unwrap();
+}
+
+#[test]
+fn shutdown_wakes_a_server_that_never_accepted() {
+    let (_, handle, join) = boot(Bind::Tcp("127.0.0.1:0".into()), 1, 8, 8, None);
+    // Let serve() reach its blocking accept before the wake.
+    std::thread::sleep(Duration::from_millis(50));
+    handle.shutdown();
+    join_within(join, 10).unwrap();
+
+    let dir = std::env::temp_dir().join(format!("perple-serve-idle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sock = dir.join("perple.sock");
+    let (_, handle, join) = boot(Bind::Unix(sock.clone()), 1, 8, 8, None);
+    std::thread::sleep(Duration::from_millis(50));
+    handle.shutdown();
+    join_within(join, 10).unwrap();
+    assert!(!sock.exists());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn shutdown_twice_is_harmless() {
+    let (target, handle, join) = boot(Bind::Tcp("127.0.0.1:0".into()), 1, 8, 8, None);
+    let ok = client::submit(&target, "name=x\n", "t", true, None).unwrap();
+    assert_eq!(ok.status, 200);
+    let again = handle.clone();
+    handle.shutdown();
+    again.shutdown();
+    join_within(join, 10).unwrap();
+    // A handle outliving serve() still shuts down nothing but its own,
+    // still-open listener.
+    again.shutdown();
+}
+
+#[test]
+fn shutdown_lets_an_open_stream_finish_with_its_summary() {
+    let gate = Gate::new();
+    let (target, handle, join) = boot(
+        Bind::Tcp("127.0.0.1:0".into()),
+        1,
+        8,
+        8,
+        Some(Arc::clone(&gate)),
+    );
+    let submitter = {
+        let target = target.clone();
+        std::thread::spawn(move || client::submit(&target, "name=s\n", "s", true, None))
+    };
+    wait_until(2000, || stats_field(&target, "running") == 1);
+    handle.shutdown();
+    gate.open();
+    let out = submitter.join().unwrap().unwrap();
+    assert_eq!(out.status, 200);
+    assert_eq!(out.lines.len(), 4);
+    assert!(out.lines[3].starts_with("{\"job\":\"job-1\",\"summary\":{\"items\":3"));
+    join_within(join, 10).unwrap();
 }
 
 #[test]

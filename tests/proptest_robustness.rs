@@ -13,7 +13,7 @@ use perple::{
     HeuristicCounter, PerpleError, PerpleRunner, SimConfig,
 };
 use perple_convert::KMap;
-use perple_model::{generate, parser, printer, suite, LitmusTest, TestBuilder};
+use perple_model::{generate, parser, printer, suite, Instr, LitmusTest, TestBuilder, ThreadId};
 use perple_repro::prop::{run_cases, Gen};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -74,6 +74,17 @@ fn parser_never_panics_on_litmus_shaped_garbage() {
         let src = format!("X86 {name}\n{{ x=0; }}\n P0 | P1 ;\n {p0} | {p1} ;\nexists ({cond})");
         if let Ok(test) = parser::parse(&src) {
             parsed.fetch_add(1, Ordering::Relaxed);
+            // A swapped store (`MOV $255,[x]`) must not load into a
+            // register named `$255`: every accepted register is one of
+            // the drawn identifiers.
+            for (t, instrs) in test.threads().iter().enumerate() {
+                for instr in instrs {
+                    if let Instr::Load { reg, .. } | Instr::Xchg { reg, .. } = instr {
+                        let name = test.reg_name(ThreadId(t as u8), *reg);
+                        assert!(regs.contains(&name), "register {name:?} accepted: {src}");
+                    }
+                }
+            }
             let printed = printer::print(&test);
             let reparsed = parser::parse(&printed).expect("printed test reparses");
             assert_eq!(reparsed, test, "{src}");
